@@ -55,8 +55,13 @@ def _vector(text):
         raise InputError(f"bad vector {text!r}, expected like 1,0,2") from None
 
 
-def _face(text):
-    return _vector(text)
+def _max_degree(args, default):
+    """The --max-degree bound, or default when it was not given."""
+    if args.max_degree is None:
+        return default
+    if args.max_degree < 1:
+        raise InputError(f"--max-degree must be >= 1, got {args.max_degree}")
+    return args.max_degree
 
 
 def _grid(text):
@@ -153,7 +158,7 @@ def _cmd_covers(args):
 
 def _cmd_indecomposable(args):
     sc, text = _load_complex(args.complex)
-    bound = args.max_degree if args.max_degree else covers.default_max_degree(sc)
+    bound = _max_degree(args, covers.default_max_degree(sc))
     found = covers.indecomposable_covers(sc, bound, threads=args.threads)
     return 0, {
         "command": "indecomposable",
@@ -191,7 +196,7 @@ def _cmd_decompose(args):
 
 def _cmd_check(args):
     sc, text = _load_complex(args.complex)
-    bound = args.max_degree if args.max_degree else covers.default_max_degree(sc)
+    bound = _max_degree(args, covers.default_max_degree(sc))
     if args.property == "equal":
         verdict = covers.equals_ab(sc, bound)
     elif args.property == "a-graded":
@@ -234,14 +239,13 @@ def _cmd_classify_graph(args):
 
 def _cmd_classify_complex(args):
     sc, text = _load_complex(args.complex)
-    report = classify.no_odd_verdict(sc, args.max_cycle_len, args.max_degree)
+    max_degree = _max_degree(args, None)
+    report = classify.no_odd_verdict(sc, args.max_cycle_len, max_degree)
     payload = {"command": "classify complex", "digest": _digest(text)}
     payload.update(report.to_dict())
     payload["strict_intersection"] = classify.strict_intersection(sc)
     if payload["strict_intersection"]:
-        sreport = classify.str_intersec_verdict(
-            sc, args.max_degree, args.max_cycle_len
-        )
+        sreport = classify.str_intersec_verdict(sc, max_degree, args.max_cycle_len)
         payload["intersection_graph"] = sreport.to_dict()
     return 0, payload
 
@@ -249,9 +253,7 @@ def _cmd_classify_complex(args):
 def _cmd_classify_cover_ideal(args):
     g, text = _load_graph(args.graph)
     delta = classify.cover_ideal_complex(g)
-    report = classify.cover_ideal_verdict(
-        g, args.max_degree if args.max_degree else 3
-    )
+    report = classify.cover_ideal_verdict(g, _max_degree(args, 3))
     payload = {"command": "classify cover-ideal", "digest": _digest(text)}
     payload["facets"] = _facet_strings(delta)
     payload.update(report.to_dict())
@@ -261,7 +263,7 @@ def _cmd_classify_cover_ideal(args):
 def _borel_spec_from_args(args):
     if not args.gen:
         raise InputError("need at least one --gen")
-    faces = [_face(g) for g in args.gen]
+    faces = [_vector(g) for g in args.gen]
     n = args.n if args.n else max(max(f) for f in faces)
     return borel.borel_spec(n, faces)
 
@@ -350,7 +352,7 @@ def _cmd_poset(args):
         payload["residual"] = ",".join(map(str, b))
         return 0, payload
     if args.action == "verify":
-        bound = args.max_degree if args.max_degree else 3
+        bound = _max_degree(args, 3)
         report = posets.verify_standard_graded_delta_r(poset, args.r, bound)
         payload.update(report.to_dict())
         return 0, payload
@@ -386,7 +388,7 @@ def _build_parser():
 
     p = sub.add_parser("indecomposable", help="indecomposable covers up to a degree")
     p.add_argument("complex")
-    p.add_argument("--max-degree", type=int, default=0)
+    p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=_cmd_indecomposable)
 
     p = sub.add_parser("decompose", help="split one cover")
@@ -398,7 +400,7 @@ def _build_parser():
     p = sub.add_parser("check", help="graded / equality verdicts")
     p.add_argument("property", choices=["equal", "a-graded", "b-graded"])
     p.add_argument("complex")
-    p.add_argument("--max-degree", type=int, default=0)
+    p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("verify-duality", help="skeleton duality identities")
@@ -418,7 +420,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_classify_complex)
     p = csub.add_parser("cover-ideal", help="minimal-cover complex of a graph")
     p.add_argument("graph")
-    p.add_argument("--max-degree", type=int, default=0)
+    p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=_cmd_classify_cover_ideal)
 
     p = sub.add_parser("borel", help="Borel sets of faces")
@@ -440,7 +442,7 @@ def _build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--matrix", default="")
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=0)
+    p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=_cmd_poset)
 
     return top

@@ -29,11 +29,21 @@ from .errors import InputError, InternalCheckError
 
 _ENUM_LIMIT = 20_000_000
 _CHUNK = 1 << 18
+# Largest n for which lk_sq runs its 2^n direct-scan cross-check.
+SQ_CROSS_CHECK_MAX_N = 20
 
 
 def default_max_degree(sc):
     """Default degree bound for the A-side checks."""
     return sc.dimension + 2
+
+
+def _degree_bound(sc, max_degree):
+    if max_degree is None:
+        return default_max_degree(sc)
+    if max_degree < 1:
+        raise InputError("max_degree must be >= 1")
+    return max_degree
 
 
 def _clean_vector(sc, c):
@@ -51,10 +61,6 @@ def cover_order(sc, c):
     if not any(c):
         raise InputError("the zero vector is not a cover")
     return min(sum(c[v - 1] for v in f) for f in sc.facets)
-
-
-def is_k_cover(sc, c, k):
-    return cover_order(sc, c) >= k
 
 
 def minimal_vertex_covers(sc):
@@ -227,9 +233,11 @@ def jk(sc, k):
 def lk_sq(sc, k):
     """Ideal of the squarefree k-covers.
 
-    Computed two ways, by direct minimal-support search and as the
-    intersection of the squarefree powers P_F^<k>; a mismatch raises.
-    Zero when k exceeds the smallest facet size.
+    Computed as the intersection of the squarefree powers P_F^<k> and,
+    for n <= SQ_CROSS_CHECK_MAX_N, also by a direct scan of all 2^n
+    supports; a mismatch raises.  Above that limit only the intersection
+    route runs and the cross-check is skipped.  Zero when k exceeds the
+    smallest facet size.
     """
     if k < 1:
         raise InputError("lk_sq wants k >= 1")
@@ -250,7 +258,7 @@ def lk_sq(sc, k):
             for f in sc.facets
         ]
     )
-    if sc.n <= 20:
+    if sc.n <= SQ_CROSS_CHECK_MAX_N:
         direct = _squarefree_covers_direct(sc, k)
         if not ideals.equals_ideal(direct, via_intersection):
             raise InternalCheckError(
@@ -260,15 +268,25 @@ def lk_sq(sc, k):
 
 
 def _squarefree_covers_direct(sc, k):
-    fmasks = sc.facet_masks
-    minimal = []
-    for mask in sorted(range(1, 1 << sc.n), key=lambda m: (bin(m).count("1"), m)):
-        if any(o & mask == o for o in minimal):
-            continue
-        if all(bin(mask & f).count("1") >= k for f in fmasks):
-            minimal.append(mask)
+    """Minimal squarefree k-covers by a scan of all 2^n supports.
+
+    Support masks are flagged as k-covers facet by facet; a cover is
+    minimal when no one-bit removal is still a cover, which suffices
+    because the covers are closed upward.  In a (2^(n-1-i), 2, 2^i) view
+    of the flags, middle index 1 holds the masks with bit i set and
+    index 0 the same masks with it cleared, so removals need no index
+    arrays and memory stays O(2^n) bytes.
+    """
+    masks = np.arange(1 << sc.n, dtype=np.uint32)
+    cover = np.ones(1 << sc.n, dtype=bool)
+    for f in sc.facet_masks:
+        cover &= np.bitwise_count(masks & np.uint32(f)) >= k
+    minimal = cover.copy()
+    for i in range(sc.n):
+        split = (-1, 2, 1 << i)
+        minimal.reshape(split)[:, 1, :] &= ~cover.reshape(split)[:, 0, :]
     gens = sorted(
-        (ideals.from_support(mask_face(m), sc.n) for m in minimal),
+        (ideals.from_support(mask_face(int(m)), sc.n) for m in np.flatnonzero(minimal)),
         key=ideals.canon_key,
     )
     return ideals.MonomialIdeal(sc.n, tuple(gens))
@@ -348,7 +366,7 @@ def is_standard_graded_a(sc, max_degree=None, threads=1):
     A failure is exact (the witness is an indecomposable k-cover with
     2 <= k <= bound); a pass only certifies degrees up to the bound.
     """
-    bound = default_max_degree(sc) if max_degree is None else max_degree
+    bound = _degree_bound(sc, max_degree)
     for k in range(2, bound + 1):
         for c in _indecomposable_at(sc, k, threads):
             return GradedVerdict("A-standard-graded", False, True, None, Witness(c, k))
@@ -361,7 +379,7 @@ def equals_ab(sc, max_degree=None):
     False means some cover is not a combination of squarefree ones; the
     witness is the first minimal generator of jk outside lk.
     """
-    bound = default_max_degree(sc) if max_degree is None else max_degree
+    bound = _degree_bound(sc, max_degree)
     for k in range(1, bound + 1):
         J = jk(sc, k)
         L = lk(sc, k)

@@ -229,34 +229,67 @@ class PosetSweepReport:
 
 _SWEEP_CHUNK = 1 << 18
 _SCALAR_STRIDE = 2503
+_LOW_BLOCK = 1 << 12
 
 
-def _min_chain_sums(poset, r, V):
-    """Minimum multichain sum for each row of a (N, r*m) value array."""
+def _int_dtype(limit):
+    """Narrowest signed integer dtype holding 0..limit."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if limit <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _box_planes(start, stop, base, low, cells):
+    """Box vectors start..stop-1 (lex order, first cell most significant).
+
+    Returned as a (cells, N) array, one contiguous plane per cell.  The
+    low cells are copied from the precomputed block ``low`` (every
+    value of its cells, in order); the high cells are constant along
+    each run of one block and are filled per run.
+    """
+    width, span = low.shape
+    high = cells - width
+    V = np.empty((cells, stop - start), dtype=low.dtype)
+    pos = 0
+    for block in range(start // span, (stop - 1) // span + 1):
+        lo = max(start - block * span, 0)
+        hi = min(stop - block * span, span)
+        run = slice(pos, pos + hi - lo)
+        rest = block
+        for t in range(high - 1, -1, -1):
+            rest, V[t, run] = divmod(rest, base)
+        V[high:, run] = low[:, lo:hi]
+        pos += hi - lo
+    return V
+
+
+def _min_chain_sums(poset, r, V, dtype):
+    """Minimum multichain sum of each column of a (r*m, N) value array."""
     m = poset.m
-    M = V[:, 0:m].astype(np.int32, copy=True)
+    M = V[0:m].astype(dtype)
     for i in range(1, r):
-        row = V[:, i * m : (i + 1) * m]
         prev = np.empty_like(M)
         for j in range(m):
-            down = poset.below[j]
-            if len(down) == 1:
-                prev[:, j] = M[:, down[0]]
-            else:
-                prev[:, j] = M[:, down].min(axis=1)
-        M = row + prev
-    return M.min(axis=1)
+            first, *rest = poset.below[j]
+            prev[j] = M[first]
+            for d in rest:
+                np.minimum(prev[j], M[d], out=prev[j])
+        prev += V[i * m : (i + 1) * m]
+        M = prev
+    return M.min(axis=0)
 
 
 def _pattern_tables(poset, r):
     """Per support pattern: indicator of the proof cover set, or invalid.
 
     Pattern bit t set means flat cell t+1 is nonzero.  A pattern is
-    valid when the cover set it yields is a squarefree 1-cover.
+    valid when the cover set it yields is a squarefree 1-cover.  The
+    indicators are the columns of a (cells, 2^cells) table.
     """
     m = poset.m
     cells = r * m
-    a_table = np.zeros((1 << cells, cells), dtype=np.int8)
+    a_table = np.zeros((cells, 1 << cells), dtype=np.int8)
     valid = np.zeros(1 << cells, dtype=bool)
     sc = delta_r(poset, r)
     fmask_cells = [
@@ -273,7 +306,7 @@ def _pattern_tables(poset, r):
         for i, j in taken:
             flat[flatten_cell(i, j, m) - 1] = 1
         if all(any(flat[t] for t in f) for f in fmask_cells):
-            a_table[pat] = flat
+            a_table[:, pat] = flat
             valid[pat] = True
     return a_table, valid
 
@@ -296,7 +329,6 @@ def verify_standard_graded_delta_r(poset, r, max_degree, cross_check="auto"):
     if 3**cells > 80_000_000:
         raise InputError(f"sweep space 3^{cells} too large")
     a_table, valid = _pattern_tables(poset, r)
-    pow2 = (1 << np.arange(cells, dtype=np.int32))[None, :]
     checked = []
     samples = 0
     for k in range(2, max_degree + 1):
@@ -304,32 +336,38 @@ def verify_standard_graded_delta_r(poset, r, max_degree, cross_check="auto"):
         total = base**cells
         if total > 80_000_000:
             raise InputError(f"sweep space {base}^{cells} too large")
-        powers = (base ** np.arange(cells - 1, -1, -1, dtype=np.int64)).astype(np.int32)
+        value_dtype = _int_dtype(k)
+        sum_dtype = _int_dtype(r * k)
+        width = 1
+        while width < cells and base**width < _LOW_BLOCK:
+            width += 1
+        low = np.indices((base,) * width, dtype=value_dtype).reshape(width, -1)
         count = 0
         for start in range(0, total, _SWEEP_CHUNK):
-            idx = np.arange(start, min(start + _SWEEP_CHUNK, total), dtype=np.int32)
-            V = (idx[:, None] // powers[None, :]) % base
-            keep = _min_chain_sums(poset, r, V) >= k
-            kept = V[keep]
-            if not kept.shape[0]:
+            V = _box_planes(start, min(start + _SWEEP_CHUNK, total), base, low, cells)
+            kept = V[:, _min_chain_sums(poset, r, V, sum_dtype) >= k]
+            if not kept.shape[1]:
                 continue
-            count += kept.shape[0]
+            count += kept.shape[1]
             C = kept
             for kk in range(k, 1, -1):
-                pats = ((C > 0) * pow2).sum(axis=1)
-                if not valid[pats].all():
-                    bad = C[~valid[pats]][0]
+                pats = np.zeros(C.shape[1], dtype=np.int32)
+                for t in range(cells):
+                    pats |= np.left_shift(C[t] > 0, t, dtype=np.int32)
+                ok = valid[pats]
+                if not ok.all():
+                    bad = C[:, ~ok][:, 0]
                     raise InternalCheckError(
                         f"support of {tuple(int(x) for x in bad)} has no cover set"
                     )
-                C = C - a_table[pats]
+                C = C - a_table[:, pats]
                 if (C < 0).any():
                     raise InternalCheckError("cover set escaped a support")
-                if (_min_chain_sums(poset, r, C) < kk - 1).any():
+                if (_min_chain_sums(poset, r, C, sum_dtype) < kk - 1).any():
                     raise InternalCheckError(
                         f"residual is not a {kk - 1}-cover during the {k}-sweep"
                     )
-            for row in kept[::_SCALAR_STRIDE]:
+            for row in kept[:, ::_SCALAR_STRIDE].T:
                 decompose_poset_cover(poset, r, tuple(int(x) for x in row), k)
                 samples += 1
         checked.append((k, count))

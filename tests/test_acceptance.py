@@ -6,6 +6,7 @@ drive every structural formula over exhaustive small families plus
 seeded random samples, with the brute-force oracles alongside.
 """
 import itertools as it
+import json
 import os
 import subprocess
 import sys
@@ -134,15 +135,20 @@ def test_criterion_7(rng):
             got = [ideals.support(g) for g in covers.lk_sq(sc, k).gens]
             assert got == list(oracles.squarefree_covers(fs, 4, k))
 
-    # poset multichain complexes: every small cover peels into 1-covers
+    # poset multichain complexes: every small cover peels into 1-covers;
+    # the reports (cover counts, scalar stride samples) are frozen
+    frozen = iter(json.loads((DATA / "poset_sweeps.json").read_text()))
     poset_count = checked_covers = 0
     for m in (1, 2, 3, 4):
         for rel in oracles.posets_upto_iso(m):
             p = posets.Poset(m, rel)
             poset_count += 1
             for r in (1, 2, 3):
-                checked_covers += posets.verify_standard_graded_delta_r(p, r, 3).total
+                report = posets.verify_standard_graded_delta_r(p, r, 3)
+                assert report.to_dict() == next(frozen)
+                checked_covers += report.total
     assert poset_count == 24
+    assert next(frozen, None) is None
 
     # principal Borel: algebras agree up to |F|, skeleton formula holds,
     # and every non-squarefree small cover splits off a squarefree layer

@@ -399,6 +399,26 @@ def test_bad_cover_vector(capsys, edge_file):
     assert "bad vector" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("indecomposable", str(DATA / "three_cycle.json")),
+        ("check", "equal", str(DATA / "five_cycle.json")),
+        ("check", "a-graded", str(DATA / "five_cycle.json")),
+        ("check", "b-graded", str(DATA / "five_cycle.json")),
+        ("classify", "complex", str(DATA / "five_cycle.json")),
+        ("classify", "cover-ideal", str(DATA / "triangle.json")),
+        ("poset", "verify", str(DATA / "vee.json"), "--r", "1"),
+    ],
+)
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_max_degree_below_one_is_input_error(capsys, argv, bound):
+    rc, out, err = run(capsys, *argv, "--max-degree", bound)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --max-degree must be >= 1, got {bound}\n"
+
+
 def test_underdetermined_poset_cover(capsys):
     rc, out, err = run(
         capsys, "poset", "decompose", str(DATA / "vee.json"), "--r", "1",

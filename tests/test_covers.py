@@ -1,4 +1,5 @@
 import itertools as it
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from coveralg import covers, ideals
 from coveralg.complexes import SimplicialComplex
-from coveralg.errors import InputError
+from coveralg.errors import InputError, InternalCheckError
 
 EDGE = SimplicialComplex(2, [(1, 2)])
 
@@ -201,6 +202,27 @@ class TestLkSq:
         with pytest.raises(InputError):
             covers.lk_sq(EDGE, 0)
 
+    def test_direct_scan_matches_oracle(self):
+        rng = random.Random(20261018)
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            sc = SimplicialComplex(n, oracles.random_antichain(rng, n, 6))
+            for k in range(1, min(len(f) for f in sc.facets) + 1):
+                got = covers._squarefree_covers_direct(sc, k)
+                assert sorted(ideals.support(g) for g in got.gens) == sorted(
+                    oracles.squarefree_covers(sc.facets, n, k)
+                )
+
+    def test_routes_cross_checked_up_to_the_limit(self, monkeypatch):
+        wrong = lambda sc, k: ideals.zero_ideal(sc.n)
+        monkeypatch.setattr(covers, "_squarefree_covers_direct", wrong)
+        limit = covers.SQ_CROSS_CHECK_MAX_N
+        at_limit = SimplicialComplex(limit, [(1, 2), (2, 3)])
+        with pytest.raises(InternalCheckError):
+            covers.lk_sq(at_limit, 1)
+        above = SimplicialComplex(limit + 1, [(1, 2), (2, 3)])
+        assert str(covers.lk_sq(above, 1)) == "(x2, x1*x3)"
+
 
 class TestLk:
     def test_single_facet(self):
@@ -267,6 +289,13 @@ class TestGradedVerdicts:
 
     def test_default_bound(self, five_cycle):
         assert covers.default_max_degree(five_cycle) == 4
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_rejects_bounds_below_one(self, three_cycle, bound):
+        with pytest.raises(InputError):
+            covers.equals_ab(three_cycle, bound)
+        with pytest.raises(InputError):
+            covers.is_standard_graded_a(three_cycle, bound)
 
     def test_to_dict(self, villarreal):
         d = covers.is_standard_graded_a(villarreal, 2).to_dict()

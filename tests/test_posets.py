@@ -176,3 +176,12 @@ class TestVerifySweep:
     def test_rejects(self):
         with pytest.raises(InputError):
             posets.verify_standard_graded_delta_r(CHAIN2, 2, 1)
+
+    def test_degree_bound_past_int8(self):
+        # one facet {1, 2}: (k+1)(k+2)/2 vectors in [0, k]^2 sum to >= k;
+        # entries of 128 no longer fit the narrowest box dtype
+        point = posets.Poset(1, [[True]])
+        report = posets.verify_standard_graded_delta_r(point, 2, 128, cross_check=False)
+        assert report.covers_checked == tuple(
+            (k, (k + 1) * (k + 2) // 2) for k in range(2, 129)
+        )
