@@ -27,7 +27,7 @@ def precedes(g, h):
     return all(a <= b for a, b in zip(g, h))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BorelSpec:
     n: int
     generators: tuple

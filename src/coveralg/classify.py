@@ -143,7 +143,7 @@ def simple_cycles(g, max_len=None):
     return sorted(out, key=lambda c: (len(c), c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecialCycle:
     """Alternating cycle v_1, F_1, v_2, ..., v_s, F_s back to v_1 with s
     odd, where F_i joins v_i to v_{i+1} and contains no other cycle
@@ -160,9 +160,18 @@ class SpecialCycle:
         return {"vertices": list(self.vertices), "facets": list(self.facets)}
 
 
+def _cycle_cap(max_len, default):
+    """The cycle length cap, or default when it is None."""
+    if max_len is None:
+        return default
+    if max_len < 1:
+        raise InputError(f"cycle length cap must be >= 1, got {max_len}")
+    return max_len
+
+
 def special_odd_cycles(sc, max_len=None):
     """All special odd cycles up to the length cap, canonically ordered."""
-    cap = max_len if max_len is not None else len(sc.facets)
+    cap = _cycle_cap(max_len, len(sc.facets))
     fsets = [set(f) for f in sc.facets]
     found = {}
 
@@ -195,7 +204,7 @@ def special_odd_cycles(sc, max_len=None):
     return sorted(found.values(), key=lambda c: (c.length, c.vertices, c.facets))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoOddReport:
     cycles: tuple
     cycle_cap: int
@@ -233,7 +242,7 @@ def no_odd_verdict(sc, max_len=None, max_degree=None):
     standard gradedness of every facet-subset subcomplex when there are
     at most 12 facets.
     """
-    cap = max_len if max_len is not None else len(sc.facets)
+    cap = _cycle_cap(max_len, len(sc.facets))
     cycles = special_odd_cycles(sc, cap)
     if cycles:
         first = cycles[0]
@@ -315,7 +324,7 @@ def cover_ideal_complex(g):
     return SimplicialComplex(g.n, facets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverIdealReport:
     bipartite: bool
     odd_cycle: tuple | None
@@ -413,7 +422,7 @@ def _component_kind(g, comp):
     return "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrIntersecReport:
     hypothesis_holds: bool | None
     cycle_cap: int
@@ -447,7 +456,7 @@ def str_intersec_verdict(sc, max_degree=None, max_cycle_len=None):
     enforced against the generic engine.
     """
     G = intersection_graph(sc)
-    cap = max_cycle_len if max_cycle_len is not None else G.n
+    cap = _cycle_cap(max_cycle_len, G.n)
     cycles = simple_cycles(G, cap)
     hypothesis = True
     for c1, c2 in it.combinations(cycles, 2):

@@ -18,29 +18,27 @@ from . import borel, classify, complexes, covers, ideals, posets
 from .errors import InputError, InternalCheckError
 
 
-def _load_complex(path):
+def _read(path):
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _load_complex(path):
+    text = _read(path)
     if text.lstrip().startswith("{"):
         return complexes.from_json(text), text
     return complexes.from_text(text), text
 
 
 def _load_graph(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    text = _read(path)
     return classify.graph_from_json(text), text
 
 
 def _load_poset(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    text = _read(path)
     return posets.poset_from_json(text), text
 
 
@@ -365,7 +363,7 @@ def _build_parser():
         description="Vertex cover algebras of simplicial complexes.",
     )
     top.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    top.add_argument("--threads", type=int, default=1, help="worker threads for cover searches")
+    top.add_argument("--threads", type=int, default=1, help="accepted, ignored")
     sub = top.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("info", help="basic facts about a complex")

@@ -18,7 +18,6 @@ duals of skeleton facet ideals.
 from __future__ import annotations
 
 import itertools as it
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,34 +156,41 @@ def cover_candidates(sc, k):
     return _enumerate_vectors(sc, k, lambda V, S: S.min(axis=1) == k)
 
 
-def _indecomposable_at(sc, k, threads=1):
-    cands = cover_candidates(sc, k)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            flags = list(
-                ex.map(lambda c: decompose_cover(sc, c, k) is None, cands, chunksize=64)
-            )
-        yield from (c for c, f in zip(cands, flags) if f)
-    else:
-        for c in cands:
-            if decompose_cover(sc, c, k) is None:
-                yield c
+def _indecomposables(sc, max_degree):
+    """Yield the indecomposable covers as (c, k); see indecomposable_covers."""
+    inc = _incidence(sc)
+    basis = [(h, inc @ h, 0) for h in np.eye(sc.n, dtype=np.int64)]
+    for k in range(1, max_degree + 1):
+        cands = cover_candidates(sc, k)
+        if not cands:
+            continue
+        C = np.array(cands, dtype=np.int64)
+        S = C @ inc.T
+        keep = np.ones(len(cands), dtype=bool)
+        for h, sh, i in basis:
+            keep &= ~((C >= h).all(axis=1) & ((S - sh).min(axis=1) >= k - i))
+        for c, f in zip(cands, keep.tolist()):
+            if f:
+                yield c, k
+                h = np.array(c, dtype=np.int64)
+                basis.append((h, inc @ h, k))
 
 
 def indecomposable_covers(sc, max_degree, threads=1):
-    """All indecomposable k-covers with k <= max_degree.
+    """All indecomposable k-covers with k <= max_degree, by degree.
 
-    Each cover is listed once, at its maximal order k.  Entries of an
-    indecomposable k-cover never exceed k (capping an entry at k
-    preserves every facet sum bound and divides the original), so the
-    bounded enumeration misses nothing.
+    Each cover is listed once, at its maximal order k, ascending lex
+    within a degree.  The pairs (c, k) with ord(c) >= k form the cover
+    monoid, whose Hilbert basis is the units (e_j, 0) and these covers.
+    A sieve finds it degree by degree: a vector c of order exactly k is
+    decomposable iff some basis element (h, i) of lower degree has
+    h <= c and ord(c - h) >= k - i, tested one basis element at a time
+    over all candidates; the survivors join the basis.  Entries of an
+    indecomposable k-cover never exceed k (capping an entry at k keeps
+    every facet sum bound and divides the original), so the bounded
+    candidate box misses nothing.  ``threads`` is accepted and ignored.
     """
-    if max_degree < 1:
-        raise InputError("max_degree must be >= 1")
-    out = []
-    for k in range(1, max_degree + 1):
-        out.extend((c, k) for c in _indecomposable_at(sc, k, threads))
-    return out
+    return list(_indecomposables(sc, _degree_bound(sc, max_degree)))
 
 
 def prime_power_ideal(n, face, k):
@@ -313,7 +319,7 @@ def lk(sc, k):
     return level[k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     vector: tuple
     degree: int
@@ -322,7 +328,7 @@ class Witness:
         return {"vector": list(self.vector), "degree": self.degree}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradedVerdict:
     prop: str
     holds: bool
@@ -363,12 +369,14 @@ def is_standard_graded_b(sc):
 def is_standard_graded_a(sc, max_degree=None, threads=1):
     """Whether every cover splits into 1-covers, up to a degree bound.
 
-    A failure is exact (the witness is an indecomposable k-cover with
-    2 <= k <= bound); a pass only certifies degrees up to the bound.
+    A failure is exact (the witness is the first indecomposable k-cover
+    with 2 <= k <= bound, in the order of indecomposable_covers); a pass
+    only certifies degrees up to the bound.  ``threads`` is accepted and
+    ignored.
     """
     bound = _degree_bound(sc, max_degree)
-    for k in range(2, bound + 1):
-        for c in _indecomposable_at(sc, k, threads):
+    for c, k in _indecomposables(sc, bound) if bound > 1 else ():
+        if k >= 2:
             return GradedVerdict("A-standard-graded", False, True, None, Witness(c, k))
     return GradedVerdict("A-standard-graded", True, False, bound, None)
 
@@ -439,7 +447,7 @@ def partition_into_vertex_covers(sc, cover_set, k):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualityReport:
     n: int
     d: int

@@ -72,7 +72,7 @@ def canon_key(m):
     return (sum(m), tuple(-e for e in m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonomialIdeal:
     """A monomial ideal given by its sorted minimal generators."""
 

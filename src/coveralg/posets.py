@@ -203,7 +203,7 @@ def decompose_poset_cover(poset, r, c, k):
     return a, b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PosetSweepReport:
     m: int
     r: int
@@ -324,6 +324,8 @@ def verify_standard_graded_delta_r(poset, r, max_degree, cross_check="auto"):
     """
     if max_degree < 2:
         raise InputError("max_degree must be >= 2")
+    if r < 1:
+        raise InputError("chain length must be >= 1")
     m = poset.m
     cells = r * m
     if 3**cells > 80_000_000:

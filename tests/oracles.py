@@ -51,6 +51,42 @@ def decomposable(facets, c, k):
     return any(order(facets, a) + order(facets, b) >= k for a, b in splits(c))
 
 
+def indecomposables(sc, max_degree):
+    """Yield (c, k) for the indecomposable k-covers, k = 1..max_degree,
+    ascending lex within a degree: every vector with entries at most k
+    and order exactly k, kept when the package's split search
+    ``covers.decompose_cover`` finds no split.  This per-candidate
+    search was the package's own route before the Hilbert-basis sieve;
+    decompose_cover itself is checked against ``decomposable`` above."""
+    from coveralg import covers
+
+    for k in range(1, max_degree + 1):
+        for c in it.product(range(k + 1), repeat=sc.n):
+            if order(sc.facets, c) == k and covers.decompose_cover(sc, c, k) is None:
+                yield c, k
+
+
+def a_graded_dict(sc, max_degree):
+    """``is_standard_graded_a(sc, max_degree).to_dict()`` from the
+    oracle: the witness is the first indecomposable cover of degree 2
+    or more."""
+    for c, k in indecomposables(sc, max_degree):
+        if k >= 2:
+            return {"property": "A-standard-graded", "holds": False, "verdict": "exact",
+                    "bound": None, "witness": {"vector": list(c), "degree": k}}
+    return {"property": "A-standard-graded", "holds": True, "verdict": "up-to-bound",
+            "bound": max_degree, "witness": None}
+
+
+def random_complex_facets(rng, n, max_facets, max_size):
+    """Up to max_facets random faces of 1..max_size vertices of 1..n;
+    vertices left out of every face stay isolated."""
+    return [
+        rng.sample(range(1, n + 1), rng.randint(1, min(max_size, n)))
+        for _ in range(rng.randint(1, max_facets))
+    ]
+
+
 def canon_key(m):
     # mirror of the package's generator ordering: degree, descending lex
     return (sum(m), tuple(-e for e in m))

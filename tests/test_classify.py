@@ -167,6 +167,16 @@ class TestNoOddVerdict:
         assert len(report.cycles) == 1
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cycle_caps_below_one_are_rejected(five_cycle, three_cycle, cap):
+    with pytest.raises(InputError):
+        classify.special_odd_cycles(five_cycle, cap)
+    with pytest.raises(InputError):
+        classify.no_odd_verdict(five_cycle, cap)
+    with pytest.raises(InputError):
+        classify.str_intersec_verdict(three_cycle, max_cycle_len=cap)
+
+
 class TestGraphEquality:
     def test_frozen(self):
         assert classify.graph_equality_ab(K3)

@@ -419,6 +419,27 @@ def test_max_degree_below_one_is_input_error(capsys, argv, bound):
     assert err == f"error: --max-degree must be >= 1, got {bound}\n"
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cycle_cap_below_one_is_input_error(capsys, cap):
+    rc, out, err = run(
+        capsys, "classify", "complex", str(DATA / "five_cycle.json"), "--max-cycle-len", cap
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: cycle length cap must be >= 1, got {cap}\n"
+
+
+@pytest.mark.parametrize("action", ["build", "decompose", "verify"])
+@pytest.mark.parametrize("r", ["0", "-2"])
+def test_poset_chain_length_below_one_is_input_error(capsys, action, r):
+    rc, out, err = run(
+        capsys, "poset", action, str(DATA / "vee.json"), "--r", r, "--matrix", "1,1,0"
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "error: chain length must be >= 1\n"
+
+
 def test_underdetermined_poset_cover(capsys):
     rc, out, err = run(
         capsys, "poset", "decompose", str(DATA / "vee.json"), "--r", "1",

@@ -129,6 +129,19 @@ class TestIndecomposable:
         with pytest.raises(InputError):
             covers.indecomposable_covers(EDGE, 0)
 
+    def test_sieve_matches_split_search(self):
+        rng = random.Random(20261019)
+        for _ in range(150):
+            n = rng.randint(3, 7)
+            degree = 2 if n == 7 else 3
+            sc = SimplicialComplex(n, oracles.random_complex_facets(rng, n, 5, 4))
+            assert covers.indecomposable_covers(sc, degree) == list(
+                oracles.indecomposables(sc, degree)
+            ), sc
+            assert covers.is_standard_graded_a(sc, degree).to_dict() == (
+                oracles.a_graded_dict(sc, degree)
+            ), sc
+
 
 @settings(deadline=None, max_examples=50)
 @given(complexes(max_n=6, max_facets=4), st.data(), st.integers(1, 4))
@@ -286,6 +299,11 @@ class TestGradedVerdicts:
         for sc in (square, path):
             assert covers.is_standard_graded_b(sc).holds
             assert covers.is_standard_graded_a(sc, 4).holds
+
+    def test_bound_one_needs_no_enumeration(self):
+        # a 2^25 degree-one box would exceed the enumeration limit
+        wide = SimplicialComplex(25, [(1, 2)])
+        assert covers.is_standard_graded_a(wide, 1).holds
 
     def test_default_bound(self, five_cycle):
         assert covers.default_max_degree(five_cycle) == 4

@@ -177,6 +177,11 @@ class TestVerifySweep:
         with pytest.raises(InputError):
             posets.verify_standard_graded_delta_r(CHAIN2, 2, 1)
 
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_rejects_chain_length_below_one(self, r):
+        with pytest.raises(InputError):
+            posets.verify_standard_graded_delta_r(VEE, r, 2)
+
     def test_degree_bound_past_int8(self):
         # one facet {1, 2}: (k+1)(k+2)/2 vectors in [0, k]^2 sum to >= k;
         # entries of 128 no longer fit the narrowest box dtype
