@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import covers, ideals
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, listed, strict_int
 from .errors import InputError, InternalCheckError
 
 
@@ -25,12 +25,15 @@ class Graph:
     """Simple undirected graph on {1..n}."""
 
     def __init__(self, n, edges):
-        n = int(n)
+        n = strict_int(n, "vertex count")
         if n < 1:
             raise InputError("a graph needs at least one vertex")
         es = set()
-        for e in edges:
-            u, v = (int(x) for x in e)
+        for e in listed(edges, "edges"):
+            e = listed(e, "edge")
+            if len(e) != 2:
+                raise InputError(f"edge {e} must have two vertices")
+            u, v = (strict_int(x, "vertex") for x in e)
             if u == v:
                 raise InputError(f"loop at {u}")
             if not (1 <= u <= n and 1 <= v <= n):

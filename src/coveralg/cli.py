@@ -47,10 +47,10 @@ def _digest(text):
 
 
 def _vector(text):
-    try:
-        return tuple(int(x) for x in text.replace(" ", "").split(","))
-    except ValueError:
-        raise InputError(f"bad vector {text!r}, expected like 1,0,2") from None
+    tokens = text.replace(" ", "").split(",")
+    if not all(map(complexes.is_decimal, tokens)):
+        raise InputError(f"bad vector {text!r}, expected like 1,0,2")
+    return tuple(map(int, tokens))
 
 
 def _max_degree(args, default):

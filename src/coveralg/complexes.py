@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools as ft
 import itertools as it
 import json
+import numbers
 
 from . import ideals
 from .errors import InputError
@@ -23,9 +24,32 @@ class ComplexError(InputError):
     """Invalid complex input."""
 
 
+def strict_int(x, what):
+    """x as an int, for every parser: only a real integer passes.
+
+    Floats, strings and bools are rejected rather than truncated or read
+    as 0/1; text formats turn their tokens into ints first, and only
+    tokens of decimal digits (``is_decimal``).
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    raise InputError(f"{what} must be an integer, got {x!r}")
+
+
+def listed(x, what):
+    """The items of a list-like x (not a string, mapping or scalar)."""
+    if type(x) is list or type(x) is tuple:
+        return x
+    if isinstance(x, (str, bytes, dict)) or not hasattr(x, "__iter__"):
+        raise InputError(f"{what} must be a list, got {x!r}")
+    return list(x)
+
+
 def clean_face(vertices, n):
     """Sorted tuple of distinct labels in 1..n; rejects duplicates."""
-    vs = [int(v) for v in vertices]
+    vs = [v if type(v) is int else strict_int(v, "vertex") for v in listed(vertices, "face")]
     if not vs:
         raise ComplexError("empty face")
     if len(set(vs)) != len(vs):
@@ -53,10 +77,10 @@ def mask_face(mask):
 
 class SimplicialComplex:
     def __init__(self, n, faces):
-        n = int(n)
+        n = strict_int(n, "vertex count")
         if n < 1:
             raise ComplexError("need at least one vertex")
-        cleaned = [clean_face(f, n) for f in faces]
+        cleaned = [clean_face(f, n) for f in listed(faces, "facets")]
         if not cleaned:
             raise ComplexError("a complex needs at least one facet")
         facets = []
@@ -161,9 +185,15 @@ def from_text(text):
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ComplexError("empty complex file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ComplexError(f"first line must be the vertex count, got {lines[0]!r}") from None
-    faces = [ln.replace(",", " ").split() for ln in lines[1:]]
-    return SimplicialComplex(n, faces)
+    if not is_decimal(lines[0]):
+        raise ComplexError(f"first line must be the vertex count, got {lines[0]!r}")
+    faces = [
+        [int(t) if is_decimal(t) else t for t in ln.replace(",", " ").split()]
+        for ln in lines[1:]
+    ]
+    return SimplicialComplex(int(lines[0]), faces)
+
+
+def is_decimal(token):
+    """Whether a text token is an integer literal: decimal digits only."""
+    return token.isascii() and token.isdigit()

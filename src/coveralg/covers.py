@@ -75,7 +75,9 @@ def decompose_cover(sc, c, k):
     when c is indecomposable as a k-cover.  Minimal vertex cover
     indicators are tried as the first summand before the exhaustive
     search, so decomposable covers of standard-graded complexes never
-    reach the expensive path.
+    reach the expensive path.  That search scans the split box of all
+    a <= c with the shared box enumerator, chunk by chunk in ascending
+    lex order, and returns the first a with ord(a) + ord(c - a) >= k.
     """
     c = _clean_vector(sc, c)
     if not any(c):
@@ -96,21 +98,19 @@ def decompose_cover(sc, c, k):
             b = _sub(c, a)
             if 1 + cover_order(sc, b) >= k:
                 return a, 1, b, k - 1
-    space = 1
-    for x in c:
-        space *= x + 1
-        if space > _ENUM_LIMIT:
-            raise InputError("decomposition search space too large")
-    for a in it.product(*(range(x + 1) for x in c)):
-        if not any(a) or a == c:
-            continue
-        b = _sub(c, a)
-        oa = cover_order(sc, a)
-        ob = cover_order(sc, b)
-        if oa + ob >= k:
-            i = min(oa, k)
-            return a, i, b, k - i
-    return None
+    sums = [sum(c[v - 1] for v in f) for f in sc.facets]
+
+    def split(V, S):
+        # facet sums of b = c - a are sums - S; a = 0 and a = c are no split
+        ok = S.min(axis=1) + np.subtract(sums, S).min(axis=1) >= k
+        return ok & V.any(axis=1) & (V != c).any(axis=1)
+
+    rows = next(_enumerate_vectors(sc, c, split), None)
+    if rows is None:
+        return None
+    a = tuple(rows[0].tolist())
+    i = min(cover_order(sc, a), k)
+    return a, i, _sub(c, a), k - i
 
 
 def _sub(c, a):
@@ -119,61 +119,80 @@ def _sub(c, a):
 
 def _incidence(sc):
     return np.array(
-        [[1 if v in set(f) else 0 for v in range(1, sc.n + 1)] for f in sc.facets],
-        dtype=np.int64,
+        [[m >> i & 1 for i in range(sc.n)] for m in sc.facet_masks], dtype=np.int64
     )
 
 
-def _enumerate_vectors(sc, k, keep_fn):
-    """Run keep_fn over all vectors with entries 0..k, in chunks.
+def _enumerate_vectors(sc, bounds, keep_fn):
+    """Yield the rows of the box 0..bounds[i] that keep_fn keeps, as arrays.
 
-    Vectors are generated in ascending lexicographic order (first entry
-    most significant); keep_fn gets the decoded chunk and its facet sum
-    matrix and returns a boolean mask of rows to collect.
+    The one box enumerator: the (k+1)^n cover box of cover_candidates
+    and jk and the split box of decompose_cover.  Rows are decoded
+    _CHUNK at a time as int64 arrays in ascending lexicographic order
+    (first entry most significant); keep_fn gets a chunk and its facet
+    sum matrix and returns a boolean mask of rows to keep.  Each chunk
+    with kept rows is yielded as one array, so a caller can stop at the
+    first one and nothing beyond a chunk is held.  A box of more than
+    _ENUM_LIMIT vectors raises InputError before anything is allocated.
     """
-    n = sc.n
-    base = k + 1
-    total = base**n
-    if total > _ENUM_LIMIT:
-        raise InputError(
-            f"cover enumeration space {base}^{n} too large; lower the degree bound"
-        )
+    total = 1
+    for b in bounds:
+        total *= b + 1
+        if total > _ENUM_LIMIT:
+            raise InputError(
+                f"box of more than {_ENUM_LIMIT} vectors to enumerate; "
+                "lower the degree bound or the cover entries"
+            )
     inc = _incidence(sc)
-    powers = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    out = []
     for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        V = (idx[:, None] // powers[None, :]) % base
-        S = V @ inc.T
-        mask = keep_fn(V, S)
+        # peel the digits of the row indices off, last entry first; the
+        # indices stay below _ENUM_LIMIT, so int32 holds them
+        q = np.arange(start, min(start + _CHUNK, total), dtype=np.int32)
+        V = np.empty((sc.n, len(q)), dtype=np.int64)
+        for i in range(sc.n - 1, -1, -1):
+            q, V[i] = np.divmod(q, bounds[i] + 1)
+        V = V.T
+        mask = keep_fn(V, V @ inc.T)
         if mask.any():
-            out.extend(tuple(int(x) for x in row) for row in V[mask])
-    return out
+            yield V[mask]
+
+
+def _kept_rows(sc, bounds, keep_fn):
+    """All rows _enumerate_vectors keeps, as one int64 array."""
+    return np.concatenate(
+        [np.empty((0, sc.n), dtype=np.int64), *_enumerate_vectors(sc, bounds, keep_fn)]
+    )
 
 
 def cover_candidates(sc, k):
-    """All vectors with entries <= k and cover order exactly k, ascending."""
-    return _enumerate_vectors(sc, k, lambda V, S: S.min(axis=1) == k)
+    """Int64 array of the vectors with entries <= k and cover order exactly k.
+
+    Rows ascend in lex order; they come from the shared box enumerator
+    without any per-row Python objects.
+    """
+    return _kept_rows(sc, (k,) * sc.n, lambda V, S: S.min(axis=1) == k)
+
+
+def _lowerable(V, S, inc, k):
+    """Mask of the entries of the k-covers V (facet sums S) that can drop
+    by one with the row still a k-cover: the nonzero entries lying in no
+    facet whose sum is exactly k."""
+    return (V > 0) & ((S == k) @ inc == 0)
 
 
 def _indecomposables(sc, max_degree):
     """Yield the indecomposable covers as (c, k); see indecomposable_covers."""
     inc = _incidence(sc)
-    basis = [(h, inc @ h, 0) for h in np.eye(sc.n, dtype=np.int64)]
+    basis = []
     for k in range(1, max_degree + 1):
-        cands = cover_candidates(sc, k)
-        if not cands:
-            continue
-        C = np.array(cands, dtype=np.int64)
+        C = cover_candidates(sc, k)
         S = C @ inc.T
-        keep = np.ones(len(cands), dtype=bool)
+        keep = ~_lowerable(C, S, inc, k).any(axis=1)
         for h, sh, i in basis:
             keep &= ~((C >= h).all(axis=1) & ((S - sh).min(axis=1) >= k - i))
-        for c, f in zip(cands, keep.tolist()):
-            if f:
-                yield c, k
-                h = np.array(c, dtype=np.int64)
-                basis.append((h, inc @ h, k))
+        for h in C[keep]:
+            yield tuple(h.tolist()), k
+            basis.append((h, inc @ h, k))
 
 
 def indecomposable_covers(sc, max_degree, threads=1):
@@ -184,8 +203,10 @@ def indecomposable_covers(sc, max_degree, threads=1):
     monoid, whose Hilbert basis is the units (e_j, 0) and these covers.
     A sieve finds it degree by degree: a vector c of order exactly k is
     decomposable iff some basis element (h, i) of lower degree has
-    h <= c and ord(c - h) >= k - i, tested one basis element at a time
-    over all candidates; the survivors join the basis.  Entries of an
+    h <= c and ord(c - h) >= k - i, tested over all candidates for the
+    units at once (e_j splits off iff c_j > 0 and no facet through j has
+    sum exactly k) and then one basis element at a time; the survivors
+    join the basis.  Entries of an
     indecomposable k-cover never exceed k (capping an entry at k keeps
     every facet sum bound and divides the original), so the bounded
     candidate box misses nothing.  ``threads`` is accepted and ignored.
@@ -216,21 +237,16 @@ def jk(sc, k):
         raise InputError("jk wants k >= 1")
     if (k + 1) ** sc.n <= 2_000_000:
         inc = _incidence(sc)
-        cols = [np.flatnonzero(inc[:, i]) for i in range(sc.n)]
 
         def keep(V, S):
-            mask = S.min(axis=1) >= k
-            mask &= V.any(axis=1)
-            for i in range(sc.n):
-                if cols[i].size:
-                    ok = (V[:, i] == 0) | (S[:, cols[i]].min(axis=1) == k)
-                else:
-                    ok = V[:, i] == 0
-                mask &= ok
-            return mask
+            return (
+                (S.min(axis=1) >= k) & V.any(axis=1) & ~_lowerable(V, S, inc, k).any(axis=1)
+            )
 
-        gens = _enumerate_vectors(sc, k, keep)
-        return ideals.MonomialIdeal(sc.n, tuple(sorted(gens, key=ideals.canon_key)))
+        G = _kept_rows(sc, (k,) * sc.n, keep)[::-1]
+        # descending lex, then a stable sort by degree: canon_key order
+        G = G[np.argsort(G.sum(axis=1), kind="stable")]
+        return ideals.MonomialIdeal(sc.n, tuple(map(tuple, G.tolist())))
     return ideals.intersect_many(
         [prime_power_ideal(sc.n, f, k) for f in sc.facets]
     )
@@ -381,21 +397,34 @@ def is_standard_graded_a(sc, max_degree=None, threads=1):
     return GradedVerdict("A-standard-graded", True, False, bound, None)
 
 
+def _divisible(Q, G):
+    """Mask of the rows of Q that some row of G divides."""
+    hit = np.zeros(len(Q), dtype=bool)
+    for g in G:
+        hit |= (Q >= g).all(axis=1)
+    return hit
+
+
 def equals_ab(sc, max_degree=None):
     """Whether jk == lk for every k up to the bound.
 
     False means some cover is not a combination of squarefree ones; the
-    witness is the first minimal generator of jk outside lk.
+    witness is the first minimal generator of jk outside lk.  Both the
+    lk <= jk check and the witness search are numpy divisibility tests
+    over the generator arrays.
     """
     bound = _degree_bound(sc, max_degree)
     for k in range(1, bound + 1):
         J = jk(sc, k)
         L = lk(sc, k)
-        if not L <= J:
+        Jg = np.array(J.gens, dtype=np.int64).reshape(-1, sc.n)
+        Lg = np.array(L.gens, dtype=np.int64).reshape(-1, sc.n)
+        if not _divisible(Lg, Jg).all():
             raise InternalCheckError("lk must sit inside jk")
-        for g in J.gens:
-            if not L.contains(g):
-                return GradedVerdict("A-equals-B", False, True, None, Witness(g, k))
+        outside = np.flatnonzero(~_divisible(Jg, Lg))
+        if outside.size:
+            g = J.gens[int(outside[0])]
+            return GradedVerdict("A-equals-B", False, True, None, Witness(g, k))
     return GradedVerdict("A-equals-B", True, False, bound, None)
 
 

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import covers
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, listed, strict_int
 from .errors import InputError, InternalCheckError
 
 
@@ -25,10 +25,11 @@ class Poset:
     """Partial order on {1..m}, stored as the full reachability matrix."""
 
     def __init__(self, m, leq):
-        m = int(m)
+        m = strict_int(m, "poset size")
         if m < 1:
             raise InputError("a poset needs at least one element")
-        leq = tuple(tuple(bool(x) for x in row) for row in leq)
+        leq = tuple(tuple(_relation_entry(x) for x in listed(row, "relation row"))
+                    for row in listed(leq, "relation"))
         if len(leq) != m or any(len(row) != m for row in leq):
             raise InputError(f"relation matrix must be {m}x{m}")
         for i in range(m):
@@ -68,12 +69,23 @@ class Poset:
         )
 
 
+def _relation_entry(x):
+    if isinstance(x, bool):
+        return x
+    if strict_int(x, "relation entry") not in (0, 1):
+        raise InputError(f"relation entry must be 0 or 1, got {x!r}")
+    return x == 1
+
+
 def poset_from_covers(m, cover_pairs):
     """Poset from cover relations a < b, closed transitively."""
-    m = int(m)
+    m = strict_int(m, "poset size")
     rel = [[i == j for j in range(m)] for i in range(m)]
-    for a, b in cover_pairs:
-        a, b = int(a), int(b)
+    for pair in listed(cover_pairs, "covers"):
+        pair = listed(pair, "cover pair")
+        if len(pair) != 2:
+            raise InputError(f"cover pair {pair} must have two elements")
+        a, b = (strict_int(x, "poset element") for x in pair)
         if not (1 <= a <= m and 1 <= b <= m) or a == b:
             raise InputError(f"bad cover pair ({a}, {b})")
         rel[a - 1][b - 1] = True

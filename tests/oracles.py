@@ -51,6 +51,48 @@ def decomposable(facets, c, k):
     return any(order(facets, a) + order(facets, b) >= k for a, b in splits(c))
 
 
+def first_split(facets, n, c, k):
+    """The split ``covers.decompose_cover(sc, c, k)`` returns for k >= 1,
+    by its former pure-Python route: a minimal vertex cover indicator as
+    the first summand when one leaves a (k-1)-cover, else the first a in
+    ``it.product`` order with ord(a) + ord(c - a) >= k, or None."""
+    c = tuple(c)
+    for t in transversals(n, facets):
+        a = tuple(1 if v in t else 0 for v in range(1, n + 1))
+        if a != c and all(x <= y for x, y in zip(a, c)):
+            b = tuple(x - y for x, y in zip(c, a))
+            if 1 + order(facets, b) >= k:
+                return a, 1, b, k - 1
+    for a, b in splits(c):
+        oa, ob = order(facets, a), order(facets, b)
+        if oa + ob >= k:
+            i = min(oa, k)
+            return a, i, b, k - i
+    return None
+
+
+def cover_box(facets, n, k):
+    """Every vector with entries at most k and order exactly k, in
+    ascending lex order."""
+    return [c for c in it.product(range(k + 1), repeat=n) if order(facets, c) == k]
+
+
+def equals_ab_dict(sc, max_degree):
+    """``equals_ab(sc, max_degree).to_dict()`` by one ``L.contains`` call
+    per generator of J, the package's former witness search."""
+    from coveralg import covers
+
+    for k in range(1, max_degree + 1):
+        J, L = covers.jk(sc, k), covers.lk(sc, k)
+        assert all(J.contains(g) for g in L.gens)
+        for g in J.gens:
+            if not L.contains(g):
+                return {"property": "A-equals-B", "holds": False, "verdict": "exact",
+                        "bound": None, "witness": {"vector": list(g), "degree": k}}
+    return {"property": "A-equals-B", "holds": True, "verdict": "up-to-bound",
+            "bound": max_degree, "witness": None}
+
+
 def indecomposables(sc, max_degree):
     """Yield (c, k) for the indecomposable k-covers, k = 1..max_degree,
     ascending lex within a degree: every vector with entries at most k

@@ -399,6 +399,14 @@ def test_bad_cover_vector(capsys, edge_file):
     assert "bad vector" in err
 
 
+@pytest.mark.parametrize("cover", ["1_0,1", "+1,1", "1.5,1"])
+def test_cover_vector_takes_decimal_digits_only(capsys, edge_file, cover):
+    # int() would read 1_0 as 10 and +1 as 1
+    rc, out, err = run(capsys, "decompose", edge_file, "--cover", cover)
+    assert (rc, out) == (2, "")
+    assert err == f"error: bad vector {cover!r}, expected like 1,0,2\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -460,3 +468,48 @@ def test_json_and_text_agree_on_digest(capsys):
     _, payload, _ = run_json(capsys, "info", path)
     _, out, _ = run(capsys, "info", path)
     assert f"digest: {payload['digest']}" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("n.json", '{"n": "x", "facets": [[1]]}', ["info", "@"]),
+        ("n.json", '{"n": 2.7, "facets": [[1, 2]]}', ["info", "@"]),
+        ("n.json", '{"n": 2, "facets": 5}', ["info", "@"]),
+        ("n.json", '{"n": 2, "facets": [[1, "a"]]}', ["info", "@"]),
+        ("n.json", '{"n": 2, "facets": [[1.5, 2]]}', ["info", "@"]),
+        ("n.json", '{"n": 2, "facets": [[true, 2]]}', ["info", "@"]),
+        ("n.json", '{"n": 2, "facets": ["12"]}', ["info", "@"]),
+        ("n.txt", "3\n1 2.5\n", ["info", "@"]),
+        ("n.txt", "3\n1 -2\n", ["check", "equal", "@"]),
+        ("g.json", '{"n": 3, "edges": [[1, 2, 3]]}', ["classify", "graph", "@"]),
+        ("g.json", '{"n": 3, "edges": [[1, "2"]]}', ["classify", "graph", "@"]),
+        ("g.json", '{"n": 3, "edges": 7}', ["classify", "cover-ideal", "@"]),
+        ("p.json", '{"m": "2", "covers": [[1, 2]]}', ["poset", "build", "@", "--r", "1"]),
+        ("p.json", '{"m": 3, "covers": [[1, 2, 3]]}', ["poset", "build", "@", "--r", "1"]),
+        ("p.json", '{"m": 2, "relation": [[1, 0], [2, 1]]}', ["poset", "verify", "@", "--r", "1"]),
+    ],
+)
+def test_loose_integers_are_input_errors(capsys, tmp_path, name, text, argv):
+    # floats, bools and numeric strings used to be truncated or read as
+    # 0/1, and malformed shapes crashed with a traceback
+    path = tmp_path / name
+    path.write_text(text)
+    rc, out, err = run(capsys, *(str(path) if a == "@" else a for a in argv))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_split_box_over_limit_is_input_error(capsys, tmp_path):
+    # the isolated vertex 8 puts the split box of this indecomposable
+    # part of the five-cycle cover past the enumeration limit
+    path = tmp_path / "five_cycle_plus.json"
+    path.write_text(json.dumps({"n": 8, "facets": json.loads(
+        (DATA / "five_cycle.json").read_text())["facets"]}))
+    rc, out, err = run(capsys, "decompose", str(path), "--cover",
+                       "1,0,2,0,1,0,1,20000000", "--k", "2")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: box of more than") and err.count("\n") == 1

@@ -1,6 +1,8 @@
 import itertools as it
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +95,93 @@ class TestDecompose:
             assert i + j == k
             assert covers.cover_order(sc, a) >= i >= 0
             assert covers.cover_order(sc, b) >= j >= 0
+
+    def test_matches_split_oracle(self, monkeypatch):
+        # indecomposable covers of degree >= 2, some bumped by one on a
+        # coordinate: a mix of no split, first-pass splits and splits
+        # only the box scan finds; the second half runs with 5-row
+        # chunks, so first splits also sit past the first chunk
+        rng = random.Random(20261020)
+        found = {"none": 0, "first pass": 0, "box": 0}
+        done = 0
+        while done < 300:
+            n = rng.randint(3, 7)
+            sc = SimplicialComplex(n, oracles.random_complex_facets(rng, n, 6, 3))
+            hard = [c for c, k in covers.indecomposable_covers(sc, 3 if n < 7 else 2) if k >= 2]
+            if not hard:
+                continue
+            h = rng.choice(hard)
+            j = rng.randrange(n)
+            c = tuple(min(3, x + (i == j and rng.random() < 0.7)) for i, x in enumerate(h))
+            k = oracles.order(sc.facets, h)
+            with monkeypatch.context() as m:
+                if done >= 150:
+                    m.setattr(covers, "_CHUNK", 5)
+                got = covers.decompose_cover(sc, c, k)
+            assert got == oracles.first_split(sc.facets, n, c, k), (sc, c, k)
+            mvcs = oracles.transversals(n, sc.facets)
+            if got is None:
+                found["none"] += 1
+            elif got[1] == 1 and ideals.support(got[0]) in mvcs:
+                found["first pass"] += 1
+            else:
+                found["box"] += 1
+            done += 1
+        assert min(found.values()) >= 20, found
+
+    def test_split_box_over_limit_allocates_nothing(self, five_cycle):
+        # an isolated vertex makes the box of (1,0,2,0,1,0,1), which no
+        # minimal vertex cover splits, larger than the enumeration limit
+        sc = SimplicialComplex(8, five_cycle.facets)
+        c = (1, 0, 2, 0, 1, 0, 1, covers._ENUM_LIMIT)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError):
+                covers.decompose_cover(sc, c, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestBox:
+    def test_candidates_match_box_scan(self):
+        rng = random.Random(20261021)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            sc = SimplicialComplex(n, oracles.random_complex_facets(rng, n, 5, 4))
+            for k in (1, 2, 3):
+                got = covers.cover_candidates(sc, k)
+                assert got.dtype == np.int64 and got.shape[1] == n
+                assert list(map(tuple, got.tolist())) == oracles.cover_box(sc.facets, n, k)
+
+    def test_scan_holds_one_chunk(self, monkeypatch, five_cycle):
+        monkeypatch.setattr(covers, "_CHUNK", 64)
+        bounds = (1, 0, 2, 0, 1, 3, 2)
+        seen = []
+
+        def keep(V, S):
+            seen.append(len(V))
+            return V.sum(axis=1) % 3 == 0
+
+        rows = list(covers._enumerate_vectors(five_cycle, bounds, keep))
+        box = list(it.product(*(range(b + 1) for b in bounds)))
+        assert max(seen) == 64 and sum(seen) == len(box)
+        assert all(len(r) <= 64 for r in rows)
+        assert list(map(tuple, np.concatenate(rows).tolist())) == [
+            v for v in box if sum(v) % 3 == 0
+        ]
+
+    def test_cover_box_over_limit_allocates_nothing(self):
+        wide = SimplicialComplex(25, [(1, 2)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError):
+                covers.cover_candidates(wide, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_minimal_vertex_covers(three_cycle):
@@ -324,6 +413,26 @@ class TestGradedVerdicts:
             "bound": None,
             "witness": {"vector": [1, 1, 1, 1, 2, 0, 1, 1], "degree": 2},
         }
+
+
+def test_equals_ab_matches_contains_oracle():
+    # random complexes alternate with random graphs, whose odd cycles
+    # give most of the failing verdicts
+    rng = random.Random(20261022)
+    failing = 0
+    for t in range(150):
+        n = rng.randint(3, 7)
+        degree = 2 if n == 7 else 3
+        if t % 2:
+            facets = oracles.random_complex_facets(rng, n, 6, 3)
+        else:
+            edges = list(it.combinations(range(1, n + 1), 2))
+            facets = rng.sample(edges, rng.randint(2, min(8, len(edges))))
+        sc = SimplicialComplex(n, facets)
+        got = covers.equals_ab(sc, degree).to_dict()
+        assert got == oracles.equals_ab_dict(sc, degree), sc
+        failing += not got["holds"]
+    assert failing >= 10
 
 
 def test_equality_survives_restriction(three_cycle, square_chord_small):
