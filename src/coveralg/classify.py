@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import covers, ideals
-from .complexes import SimplicialComplex, listed, strict_int
-from .errors import InputError, InternalCheckError
+from .complexes import SimplicialComplex
+from .errors import InputError, InternalCheckError, listed, strict_int
 
 
 class Graph:

@@ -314,25 +314,37 @@ def _squarefree_covers_direct(sc, k):
     return ideals.MonomialIdeal(sc.n, tuple(gens))
 
 
+def _lk_levels(sc, bound):
+    """Yield lk(sc, 1), ..., lk(sc, bound) in turn.
+
+    Level k is the sum of lk_sq(k) (when k <= r, the smallest facet
+    size) and the products level(j) * lk_sq(k - j) over j >= max(1, k - r).
+    Each lk_sq and each level is built once, when first needed, so a
+    caller that stops early builds nothing beyond its last degree.
+    """
+    r = min(len(f) for f in sc.facets)
+    sq, level = {}, {}
+    for k in range(1, bound + 1):
+        parts = []
+        if k <= r:
+            sq[k] = lk_sq(sc, k)
+            parts.append(sq[k])
+        for j in range(max(1, k - r), k):
+            parts.append(ideals.multiply(level[j], sq[k - j]))
+        level[k] = parts[0] if len(parts) == 1 else ideals.sum_ideals(*parts)
+        yield level[k]
+
+
 def lk(sc, k):
     """Degree-k piece of the algebra generated by squarefree covers.
 
     Sum over all ways to write k = k_1 + ... + k_s of the products
-    lk_sq(k_1) * ... * lk_sq(k_s), assembled by one-step recursion.
+    lk_sq(k_1) * ... * lk_sq(k_s): the last level of _lk_levels.
     """
     if k < 1:
         raise InputError("lk wants k >= 1")
-    r = min(len(f) for f in sc.facets)
-    sq = {j: lk_sq(sc, j) for j in range(1, min(k, r) + 1)}
-    level = {1: sq[1]}
-    for kk in range(2, k + 1):
-        parts = []
-        if kk <= r:
-            parts.append(sq[kk])
-        for j in range(max(1, kk - r), kk):
-            parts.append(ideals.multiply(level[j], sq[kk - j]))
-        level[kk] = ideals.sum_ideals(parts[0], *parts[1:])
-    return level[k]
+    *_, level = _lk_levels(sc, k)
+    return level
 
 
 @dataclass(frozen=True, slots=True)
@@ -409,14 +421,14 @@ def equals_ab(sc, max_degree=None):
     """Whether jk == lk for every k up to the bound.
 
     False means some cover is not a combination of squarefree ones; the
-    witness is the first minimal generator of jk outside lk.  Both the
-    lk <= jk check and the witness search are numpy divisibility tests
-    over the generator arrays.
+    witness is the first minimal generator of jk outside lk at the
+    lowest failing degree.  The lk levels come from one _lk_levels
+    ladder, which stops there.  Both the lk <= jk check and the witness
+    search are numpy divisibility tests over the generator arrays.
     """
     bound = _degree_bound(sc, max_degree)
-    for k in range(1, bound + 1):
+    for k, L in enumerate(_lk_levels(sc, bound), start=1):
         J = jk(sc, k)
-        L = lk(sc, k)
         Jg = np.array(J.gens, dtype=np.int64).reshape(-1, sc.n)
         Lg = np.array(L.gens, dtype=np.int64).reshape(-1, sc.n)
         if not _divisible(Lg, Jg).all():

@@ -5,18 +5,20 @@ its unique minimal generating set, sorted by (total degree, then
 descending lexicographic on exponents) so equal ideals compare equal.
 The zero ideal is the one with no generators.
 
-Divisibility is componentwise <=, lcm is componentwise max.  Squarefree
-monomials are handled through bitmasks (bit i set means x_{i+1} occurs)
-which keeps Alexander duals and squarefree powers cheap.
+Divisibility is componentwise <=, lcm is componentwise max.  Reducing a
+generator list to its minimal elements packs each exponent vector into
+one int with a guard bit atop every coordinate field, so one subtraction
+and one mask test decide divisibility (see ``_minimal_rows``).
+Squarefree monomials are handled through bitmasks (bit i set means
+x_{i+1} occurs) which keeps Alexander duals and squarefree powers cheap.
 """
 from __future__ import annotations
 
-import itertools as it
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, listed, strict_int
 
 Monomial = tuple
 
@@ -101,45 +103,52 @@ def zero_ideal(n):
 
 
 def _minimal_rows(rows):
-    """Minimal elements of a set of exponent tuples under divisibility."""
+    """Minimal elements of a set of exponent tuples under divisibility.
+
+    The unique rows are swept in canon_key order, where every proper
+    divisor of a row comes before it, and a row is kept when no kept
+    row divides it.  Each row is packed into one int with a field of
+    w = (largest exponent).bit_length() + 1 bits per coordinate; the top
+    bit of each field is a guard, and H is the mask of the guard bits.
+    Every exponent fits below its guard, so no borrow of (B | H) - A
+    crosses a field, a field keeps its guard bit iff b_i >= a_i, and
+    x^a divides x^b iff ((B | H) - A) & H == H.
+    """
     uniq = sorted(set(rows), key=canon_key)
     if not uniq:
         return []
-    if all(e <= 1 for r in uniq for e in r):
-        # squarefree: subset tests on bitmasks
-        kept = []
-        for r in uniq:
-            rm = _mask_of(r)
-            if not any(km & rm == km for km, _ in kept):
-                kept.append((rm, r))
-        return [r for _, r in kept]
-    if len(uniq) > 200:
-        n = len(uniq[0])
-        arr = np.array(uniq, dtype=np.int64)
-        kept_idx = []
-        buf = np.empty((len(uniq), n), dtype=np.int64)
-        cnt = 0
-        for i in range(len(uniq)):
-            if cnt == 0 or not (buf[:cnt] <= arr[i]).all(axis=1).any():
-                buf[cnt] = arr[i]
-                kept_idx.append(i)
-                cnt += 1
-        return [uniq[i] for i in kept_idx]
+    w = max(map(max, uniq)).bit_length() + 1
+    H = 0
+    for _ in uniq[0]:
+        H = H << w | 1 << (w - 1)
     kept = []
+    out = []
     for r in uniq:
-        if not any(divides(k, r) for k in kept):
-            kept.append(r)
-    return kept
+        a = 0
+        for e in r:
+            a = a << w | e
+        b = a | H
+        for k in kept:
+            if (b - k) & H == H:
+                break
+        else:
+            kept.append(a)
+            out.append(r)
+    return out
 
 
 def minimalize(n, gens):
     """Build the ideal generated by ``gens``, reduced to minimal generators.
 
-    Raises on an all-zero exponent vector (the monomial 1 is not a valid
-    generator here) and on negative exponents.  An empty generator list
-    gives the zero ideal.
+    Exponents must be real integers (``strict_int``: no floats, bools or
+    strings).  Raises on an all-zero exponent vector (the monomial 1 is
+    not a valid generator here) and on negative exponents.  An empty
+    generator list gives the zero ideal.
     """
-    gens = [tuple(g) for g in gens]
+    gens = [
+        tuple(e if type(e) is int else strict_int(e, "exponent") for e in listed(g, "generator"))
+        for g in gens
+    ]
     for g in gens:
         if len(g) != n:
             raise InputError(f"generator {g} has {len(g)} exponents, expected {n}")

@@ -17,8 +17,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import covers
-from .complexes import SimplicialComplex, listed, strict_int
-from .errors import InputError, InternalCheckError
+from .complexes import SimplicialComplex
+from .errors import InputError, InternalCheckError, listed, strict_int
 
 
 class Poset:

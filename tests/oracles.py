@@ -8,6 +8,8 @@ the small instances the tests use.
 """
 import itertools as it
 
+import numpy as np
+
 
 def order(facets, c):
     return min(sum(c[v - 1] for v in f) for f in facets)
@@ -77,13 +79,62 @@ def cover_box(facets, n, k):
     return [c for c in it.product(range(k + 1), repeat=n) if order(facets, c) == k]
 
 
+def minimal_rows(rows):
+    """Minimal exponent tuples under divisibility, in canon_key order, by
+    the package's former three routes: subset tests on bitmasks for
+    squarefree rows, a numpy sweep above 200 rows, else one pairwise
+    componentwise comparison per kept row."""
+    uniq = sorted(set(rows), key=canon_key)
+    if not uniq:
+        return []
+    if all(e <= 1 for r in uniq for e in r):
+        kept = []
+        for r in uniq:
+            rm = sum(1 << i for i, e in enumerate(r) if e)
+            if not any(km & rm == km for km, _ in kept):
+                kept.append((rm, r))
+        return [r for _, r in kept]
+    if len(uniq) > 200:
+        arr = np.array(uniq, dtype=np.int64)
+        buf = np.empty_like(arr)
+        kept_idx = []
+        for i in range(len(uniq)):
+            if not kept_idx or not (buf[: len(kept_idx)] <= arr[i]).all(axis=1).any():
+                buf[len(kept_idx)] = arr[i]
+                kept_idx.append(i)
+        return [uniq[i] for i in kept_idx]
+    kept = []
+    for r in uniq:
+        if not any(all(x <= y for x, y in zip(g, r)) for g in kept):
+            kept.append(r)
+    return kept
+
+
+def lk(sc, k):
+    """``covers.lk(sc, k)`` by the package's former per-degree route: all
+    lk_sq(j) for j <= min(k, r) first, then the levels 2..k by one-step
+    recursion, every level through ``ideals.sum_ideals``."""
+    from coveralg import covers, ideals
+
+    r = min(len(f) for f in sc.facets)
+    sq = {j: covers.lk_sq(sc, j) for j in range(1, min(k, r) + 1)}
+    level = {1: sq[1]}
+    for kk in range(2, k + 1):
+        parts = [sq[kk]] if kk <= r else []
+        for j in range(max(1, kk - r), kk):
+            parts.append(ideals.multiply(level[j], sq[kk - j]))
+        level[kk] = ideals.sum_ideals(*parts)
+    return level[k]
+
+
 def equals_ab_dict(sc, max_degree):
     """``equals_ab(sc, max_degree).to_dict()`` by one ``L.contains`` call
-    per generator of J, the package's former witness search."""
+    per generator of J, the package's former witness search, over the
+    per-degree ``lk`` above."""
     from coveralg import covers
 
     for k in range(1, max_degree + 1):
-        J, L = covers.jk(sc, k), covers.lk(sc, k)
+        J, L = covers.jk(sc, k), lk(sc, k)
         assert all(J.contains(g) for g in L.gens)
         for g in J.gens:
             if not L.contains(g):

@@ -341,6 +341,36 @@ class TestLk:
     def test_matches_oracle(self, sc, k):
         assert list(covers.lk(sc, k).gens) == oracles.lk_gens(sc.facets, sc.n, k)
 
+    def test_ladder_matches_per_degree_route(self, villarreal):
+        rng = random.Random(20261018)
+        scs = [villarreal] + [
+            SimplicialComplex(n, oracles.random_complex_facets(rng, n, 5, 4))
+            for n in (2, 3, 3, 4, 4, 5, 5, 6)
+        ]
+        for sc in scs:
+            ladder = list(covers._lk_levels(sc, 5))
+            assert len(ladder) == 5
+            for k in range(1, 6):
+                want = oracles.lk(sc, k)
+                assert covers.lk(sc, k) == want and ladder[k - 1] == want, (sc, k)
+
+    def test_equals_ab_builds_each_lk_sq_once(self, monkeypatch, five_cycle, three_cycle):
+        calls = []
+        lk_sq, jk = covers.lk_sq, covers.jk
+        monkeypatch.setattr(covers, "lk_sq", lambda sc, k: calls.append(("sq", k)) or lk_sq(sc, k))
+        monkeypatch.setattr(covers, "jk", lambda sc, k: calls.append(("jk", k)) or jk(sc, k))
+        # passes to the bound: each lk_sq(j), j <= min(bound, r), once
+        for sc, bound in ((three_cycle, 4), (three_cycle, 2), (EDGE, 5)):
+            calls.clear()
+            assert covers.equals_ab(sc, bound).holds
+            r = min(map(len, sc.facets))
+            assert [k for t, k in calls if t == "sq"] == list(range(1, min(bound, r) + 1))
+            assert [k for t, k in calls if t == "jk"] == list(range(1, bound + 1))
+        # fails at degree 2: nothing is built past it
+        calls.clear()
+        assert covers.equals_ab(five_cycle, 4).witness.degree == 2
+        assert calls == [("sq", 1), ("jk", 1), ("sq", 2), ("jk", 2)]
+
 
 @settings(deadline=None, max_examples=60)
 @given(complexes(max_n=8, max_facets=5))

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,6 +54,58 @@ def test_minimalize_rejects():
         ideals.minimalize(2, [(0, 0)])
     with pytest.raises(InputError):
         ideals.minimalize(2, [(-1, 1)])
+
+
+@pytest.mark.parametrize("gen", [(1.5, 0), (True, 0), (2, "1"), (2, None)])
+def test_minimalize_rejects_non_integer_exponents(gen):
+    # floats and bools were taken as exponents, strings raised TypeError
+    with pytest.raises(InputError, match="exponent must be an integer"):
+        ideals.minimalize(2, [(1, 1), gen])
+
+
+def test_minimalize_takes_integral_exponents():
+    I = ideals.minimalize(2, [np.array([2, 0]), (np.int8(1), 1)])
+    assert I.gens == ((2, 0), (1, 1))
+    assert all(type(e) is int for g in I.gens for e in g)
+
+
+# field widths on both sides of powers of two: w = bit_length + 1
+ENTRY_CAPS = [1, 3, 7, 8, 15, 16, 1000, 1 << 20]
+
+
+def random_row_set(rng, t):
+    """Row set number t: n from 1 to 12, entries up to a cap (often
+    reached), multiples of earlier rows so that divisibility occurs,
+    repeated rows, squarefree-only sets and sets above 200 rows."""
+    cap = 1 if t % 9 == 8 else ENTRY_CAPS[t % 8]
+    large = t % 7 == 6
+    n = rng.randint(8 if large else 1, 12)
+    size = rng.randint(230, 300) if large else rng.randint(1, 40)
+    rows = []
+    while len(rows) < size:
+        if rows and rng.random() < 0.5:
+            base = rng.choice(rows)
+            row = tuple(min(cap, e + rng.choice((0, 0, 1, cap))) for e in base)
+        else:
+            row = tuple(rng.choice((0, 0, 1, rng.randint(0, cap), cap)) for _ in range(n))
+        if any(row):
+            rows.append(row)
+        if rows and rng.random() < 0.1:
+            rows.append(rng.choice(rows))
+    return rows
+
+
+def test_minimal_rows_matches_three_route_oracle():
+    rng = random.Random(20261018)
+    large = squarefree = reduced = 0
+    for t in range(3000):
+        rows = random_row_set(rng, t)
+        got = ideals._minimal_rows(rows)
+        assert got == oracles.minimal_rows(rows), rows
+        squarefree += max(map(max, rows)) <= 1
+        large += len(set(rows)) > 200 and max(map(max, rows)) > 1
+        reduced += len(got) < len(set(rows))
+    assert large >= 250 and squarefree >= 500 and reduced >= 2000
 
 
 def test_zero_ideal():
