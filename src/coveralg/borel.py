@@ -14,8 +14,9 @@ import itertools as it
 from dataclasses import dataclass
 
 from . import covers, ideals
-from .complexes import SimplicialComplex, clean_face, face_key, face_mask, mask_face
+from .complexes import SimplicialComplex, clean_face, face_key
 from .errors import InputError, InternalCheckError
+from .ideals import face_mask, mask_face
 
 
 def precedes(g, h):

@@ -321,9 +321,8 @@ def cover_ideal_complex(g):
         raise InputError("graph has no edges")
     if g.isolated_vertices():
         raise InputError(f"isolated vertices {g.isolated_vertices()} not allowed here")
-    masks = [(1 << (u - 1)) | (1 << (v - 1)) for u, v in g.edges]
-    trans = ideals.minimal_transversals(g.n, masks)
-    facets = [tuple(i + 1 for i in range(g.n) if t >> i & 1) for t in trans]
+    trans = ideals.minimal_transversals(g.n, [ideals.face_mask(e) for e in g.edges])
+    facets = [ideals.mask_face(t) for t in trans]
     return SimplicialComplex(g.n, facets)
 
 
@@ -413,11 +412,7 @@ def _component_vertices(g):
 
 def _component_kind(g, comp):
     sub_edges = [e for e in g.edges if e[0] in comp and e[1] in comp]
-    sub = Graph(g.n, sub_edges) if sub_edges else None
-    if sub is None:
-        return "bipartite"
-    bip, _ = is_bipartite(Graph(g.n, sub_edges))
-    if bip:
+    if not sub_edges or is_bipartite(Graph(g.n, sub_edges))[0]:
         return "bipartite"
     degs = {v: len([e for e in sub_edges if v in e]) for v in comp}
     if len(sub_edges) == len(comp) and all(d == 2 for d in degs.values()) and len(comp) % 2 == 1:

@@ -172,7 +172,7 @@ def _cmd_indecomposable(args):
 def _cmd_decompose(args):
     sc, text = _load_complex(args.complex)
     c = _vector(args.cover)
-    k = args.k if args.k else covers.cover_order(sc, c)
+    k = covers.cover_order(sc, c) if args.k is None else args.k
     result = covers.decompose_cover(sc, c, k)
     payload = {
         "command": "decompose",
@@ -262,7 +262,7 @@ def _borel_spec_from_args(args):
     if not args.gen:
         raise InputError("need at least one --gen")
     faces = [_vector(g) for g in args.gen]
-    n = args.n if args.n else max(max(f) for f in faces)
+    n = max(max(f) for f in faces) if args.n is None else args.n
     return borel.borel_spec(n, faces)
 
 
@@ -311,9 +311,9 @@ def _cmd_borel(args):
         if not args.cover:
             raise InputError("decompose needs --cover")
         c = _vector(args.cover)
-        k = args.k if args.k else covers.cover_order(
-            borel.complex_of(borel.borel_spec(len(c), [face])), c
-        )
+        k = args.k
+        if k is None:
+            k = covers.cover_order(borel.complex_of(borel.borel_spec(len(c), [face])), c)
         a, r, b = borel.decompose_principal(face, c, k)
         payload["cover"] = ",".join(map(str, c))
         payload["k"] = k
@@ -342,7 +342,7 @@ def _cmd_poset(args):
         grid = _grid(args.matrix)
         c = posets.grid_to_vector(grid)
         sc = posets.delta_r(poset, args.r)
-        k = args.k if args.k else covers.cover_order(sc, c)
+        k = covers.cover_order(sc, c) if args.k is None else args.k
         a, b = posets.decompose_poset_cover(poset, args.r, c, k)
         payload["cover"] = ",".join(map(str, c))
         payload["k"] = k
@@ -392,7 +392,7 @@ def _build_parser():
     p = sub.add_parser("decompose", help="split one cover")
     p.add_argument("complex")
     p.add_argument("--cover", required=True)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("check", help="graded / equality verdicts")
@@ -427,9 +427,9 @@ def _build_parser():
         choices=["expand", "skeleton", "dual", "cover-gens", "decompose", "top-gen", "recognize"],
     )
     p.add_argument("--gen", action="append", default=[])
-    p.add_argument("-n", type=int, default=0)
+    p.add_argument("-n", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, default=None)
     p.add_argument("--cover", default="")
     p.add_argument("--ideal", default="")
     p.set_defaults(func=_cmd_borel)
@@ -439,7 +439,7 @@ def _build_parser():
     p.add_argument("poset")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--matrix", default="")
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, default=None)
     p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=_cmd_poset)
 

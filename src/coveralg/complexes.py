@@ -6,8 +6,9 @@ face lists are accepted and reduced to facets at construction; the
 kept in a canonical order, by cardinality then lexicographically, so two
 complexes with the same facets always compare equal.
 
-Vertex labels are 1-based everywhere in the public interface.  Bitmask
-helpers (bit i for vertex i+1) are used internally.
+Vertex labels are 1-based everywhere in the public interface.  Facets
+are also kept as bitmasks (bit i for vertex i+1), through the bitmask
+helpers of ``ideals``.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import json
 
 from . import ideals
 from .errors import InputError, listed, strict_int
+from .ideals import face_mask, mask_face  # mask_face: re-exported
 
 
 class ComplexError(InputError):
@@ -38,17 +40,6 @@ def clean_face(vertices, n):
 
 def face_key(face):
     return (len(face), face)
-
-
-def face_mask(face):
-    mask = 0
-    for v in face:
-        mask |= 1 << (v - 1)
-    return mask
-
-
-def mask_face(mask):
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class SimplicialComplex:

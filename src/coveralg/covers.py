@@ -18,13 +18,14 @@ duals of skeleton facet ideals.
 from __future__ import annotations
 
 import itertools as it
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ideals
-from .complexes import SimplicialComplex, face_mask, mask_face
 from .errors import InputError, InternalCheckError
+from .ideals import face_mask, mask_face
 
 _ENUM_LIMIT = 20_000_000
 _CHUNK = 1 << 18
@@ -98,17 +99,21 @@ def decompose_cover(sc, c, k):
             b = _sub(c, a)
             if 1 + cover_order(sc, b) >= k:
                 return a, 1, b, k - 1
-    sums = [sum(c[v - 1] for v in f) for f in sc.facets]
+    _check_box(c)
+    inc = _incidence(sc)
+    col = np.array(c)[:, None]
+    sums = inc @ col
 
-    def split(V, S):
+    def split(V):
         # facet sums of b = c - a are sums - S; a = 0 and a = c are no split
-        ok = S.min(axis=1) + np.subtract(sums, S).min(axis=1) >= k
-        return ok & V.any(axis=1) & (V != c).any(axis=1)
+        S = inc @ V
+        ok = S.min(axis=0) + (sums - S).min(axis=0) >= k
+        return ok & V.any(axis=0) & (V != col).any(axis=0)
 
-    rows = next(_enumerate_vectors(sc, c, split), None)
-    if rows is None:
+    V = next(_box_chunks(c, split), None)
+    if V is None:
         return None
-    a = tuple(rows[0].tolist())
+    a = tuple(V[:, 0].tolist())
     i = min(cover_order(sc, a), k)
     return a, i, _sub(c, a), k - i
 
@@ -123,45 +128,79 @@ def _incidence(sc):
     )
 
 
-def _enumerate_vectors(sc, bounds, keep_fn):
-    """Yield the rows of the box 0..bounds[i] that keep_fn keeps, as arrays.
+def _int_dtype(limit):
+    """Narrowest signed integer dtype holding 0..limit."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if limit <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _box_chunks(bounds, keep_fn):
+    """Yield the vectors 0 <= v <= bounds that keep_fn keeps, chunk by chunk.
 
     The one box enumerator: the (k+1)^n cover box of cover_candidates
-    and jk and the split box of decompose_cover.  Rows are decoded
-    _CHUNK at a time as int64 arrays in ascending lexicographic order
-    (first entry most significant); keep_fn gets a chunk and its facet
-    sum matrix and returns a boolean mask of rows to keep.  Each chunk
-    with kept rows is yielded as one array, so a caller can stop at the
-    first one and nothing beyond a chunk is held.  A box of more than
-    _ENUM_LIMIT vectors raises InputError before anything is allocated.
+    and jk, the split box of decompose_cover and the box of the poset
+    sweep.  Vectors run in ascending lex order (first entry most
+    significant), _CHUNK at a time, as (cells, N) arrays with one
+    contiguous plane per cell, in the narrowest dtype holding
+    max(bounds).  The fewest trailing cells whose sub-box spans at least
+    _CHUNK / 64 vectors, but never more than _CHUNK, form a low block,
+    built once and copied into each run; the high cells are constant
+    along a run and filled once per run, so a chunk takes at most about
+    64 runs.  When the last radix alone exceeds _CHUNK, that cell is
+    filled per run from np.arange instead.  keep_fn(V) returns a mask
+    of the columns to keep, and the kept columns of each chunk with any
+    are yielded, so a caller that stops early holds one chunk.  Callers
+    bound the box size themselves.
     """
-    total = 1
-    for b in bounds:
-        total *= b + 1
-        if total > _ENUM_LIMIT:
-            raise InputError(
-                f"box of more than {_ENUM_LIMIT} vectors to enumerate; "
-                "lower the degree bound or the cover entries"
-            )
-    inc = _incidence(sc)
+    radix = [b + 1 for b in bounds]
+    cells = len(radix)
+    dtype = _int_dtype(max(bounds))
+    width, span = 0, 1
+    while width < cells and span * radix[cells - 1 - width] <= _CHUNK:
+        width += 1
+        span *= radix[cells - width]
+        if span >= _CHUNK >> 6:
+            break
+    if width:
+        low = np.indices(radix[cells - width :], dtype=dtype).reshape(width, -1)
+    else:
+        width, span, low = 1, radix[-1], None
+    high = cells - width
+    total = math.prod(radix)
     for start in range(0, total, _CHUNK):
-        # peel the digits of the row indices off, last entry first; the
-        # indices stay below _ENUM_LIMIT, so int32 holds them
-        q = np.arange(start, min(start + _CHUNK, total), dtype=np.int32)
-        V = np.empty((sc.n, len(q)), dtype=np.int64)
-        for i in range(sc.n - 1, -1, -1):
-            q, V[i] = np.divmod(q, bounds[i] + 1)
-        V = V.T
-        mask = keep_fn(V, V @ inc.T)
-        if mask.any():
-            yield V[mask]
+        stop = min(start + _CHUNK, total)
+        V = np.empty((cells, stop - start), dtype=dtype)
+        pos = 0
+        for block in range(start // span, (stop - 1) // span + 1):
+            lo = max(start - block * span, 0)
+            hi = min(stop - block * span, span)
+            run = slice(pos, pos + hi - lo)
+            rest = block
+            for t in range(high - 1, -1, -1):
+                rest, V[t, run] = divmod(rest, radix[t])
+            V[high:, run] = np.arange(lo, hi, dtype=dtype) if low is None else low[:, lo:hi]
+            pos += hi - lo
+        kept = V[:, keep_fn(V)]
+        if kept.shape[1]:
+            yield kept
 
 
-def _kept_rows(sc, bounds, keep_fn):
-    """All rows _enumerate_vectors keeps, as one int64 array."""
-    return np.concatenate(
-        [np.empty((0, sc.n), dtype=np.int64), *_enumerate_vectors(sc, bounds, keep_fn)]
-    )
+def _check_box(bounds):
+    """Refuse a box 0..bounds of more than _ENUM_LIMIT vectors."""
+    if math.prod(b + 1 for b in bounds) > _ENUM_LIMIT:
+        raise InputError(
+            f"box of more than {_ENUM_LIMIT} vectors to enumerate; "
+            "lower the degree bound or the cover entries"
+        )
+
+
+def _kept_rows(bounds, keep_fn):
+    """All vectors _box_chunks keeps, as int64 (rows, n) in lex order."""
+    _check_box(bounds)
+    rows = [V.T for V in _box_chunks(bounds, keep_fn)]
+    return np.concatenate([np.empty((0, len(bounds)), dtype=np.int64), *rows], dtype=np.int64)
 
 
 def cover_candidates(sc, k):
@@ -170,14 +209,15 @@ def cover_candidates(sc, k):
     Rows ascend in lex order; they come from the shared box enumerator
     without any per-row Python objects.
     """
-    return _kept_rows(sc, (k,) * sc.n, lambda V, S: S.min(axis=1) == k)
+    inc = _incidence(sc)
+    return _kept_rows((k,) * sc.n, lambda V: (inc @ V).min(axis=0) == k)
 
 
 def _lowerable(V, S, inc, k):
-    """Mask of the entries of the k-covers V (facet sums S) that can drop
-    by one with the row still a k-cover: the nonzero entries lying in no
-    facet whose sum is exactly k."""
-    return (V > 0) & ((S == k) @ inc == 0)
+    """Mask of the entries of the k-covers V, (n, N) with facet sums S,
+    that can drop by one with the column still a k-cover: the nonzero
+    entries lying in no facet whose sum is exactly k."""
+    return (V > 0) & (inc.T @ (S == k) == 0)
 
 
 def _indecomposables(sc, max_degree):
@@ -187,7 +227,7 @@ def _indecomposables(sc, max_degree):
     for k in range(1, max_degree + 1):
         C = cover_candidates(sc, k)
         S = C @ inc.T
-        keep = ~_lowerable(C, S, inc, k).any(axis=1)
+        keep = ~_lowerable(C.T, S.T, inc, k).any(axis=0)
         for h, sh, i in basis:
             keep &= ~((C >= h).all(axis=1) & ((S - sh).min(axis=1) >= k - i))
         for h in C[keep]:
@@ -238,12 +278,11 @@ def jk(sc, k):
     if (k + 1) ** sc.n <= 2_000_000:
         inc = _incidence(sc)
 
-        def keep(V, S):
-            return (
-                (S.min(axis=1) >= k) & V.any(axis=1) & ~_lowerable(V, S, inc, k).any(axis=1)
-            )
+        def keep(V):
+            S = inc @ V
+            return (S.min(axis=0) >= k) & V.any(axis=0) & ~_lowerable(V, S, inc, k).any(axis=0)
 
-        G = _kept_rows(sc, (k,) * sc.n, keep)[::-1]
+        G = _kept_rows((k,) * sc.n, keep)[::-1]
         # descending lex, then a stable sort by degree: canon_key order
         G = G[np.argsort(G.sum(axis=1), kind="stable")]
         return ideals.MonomialIdeal(sc.n, tuple(map(tuple, G.tolist())))
@@ -464,9 +503,7 @@ def partition_into_vertex_covers(sc, cover_set, k):
     def rec(pos):
         if pos == len(cset):
             return all(covers_all(p) for p in parts)
-        rest = 0
-        for v in cset[pos:]:
-            rest |= 1 << (v - 1)
+        rest = face_mask(cset[pos:])
         for p in parts:
             if not covers_all(p | rest):
                 return False

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError, listed, strict_int
 
 Monomial = tuple
@@ -57,16 +55,22 @@ def from_support(vertices, n):
     return tuple(m)
 
 
-def _mask_of(m):
+def face_mask(face):
+    """Bitmask of a set of 1-based vertices: bit i for vertex i+1."""
     mask = 0
-    for i, e in enumerate(m):
-        if e:
-            mask |= 1 << i
+    for v in face:
+        mask |= 1 << (v - 1)
     return mask
 
 
-def _mask_to_monomial(mask, n):
-    return tuple(1 if mask >> i & 1 else 0 for i in range(n))
+def mask_face(mask):
+    """Ascending 1-based vertices of a bitmask, one step per set bit."""
+    face = []
+    while mask:
+        low = mask & -mask
+        face.append(low.bit_length())
+        mask ^= low
+    return tuple(face)
 
 
 def canon_key(m):
@@ -180,13 +184,7 @@ def intersect(I, J):
         raise InputError("ideal intersection needs a common ambient ring")
     if I.is_zero or J.is_zero:
         return zero_ideal(I.n)
-    if len(I.gens) * len(J.gens) > 4000:
-        A = np.array(I.gens, dtype=np.int64)
-        B = np.array(J.gens, dtype=np.int64)
-        prod = np.maximum(A[:, None, :], B[None, :, :]).reshape(-1, I.n)
-        rows = [tuple(int(e) for e in row) for row in prod]
-    else:
-        rows = [lcm(a, b) for a in I.gens for b in J.gens]
+    rows = [lcm(a, b) for a in I.gens for b in J.gens]
     return MonomialIdeal(I.n, tuple(_minimal_rows(rows)))
 
 
@@ -246,7 +244,7 @@ def squarefree_power(I, k):
     """
     if k < 1:
         raise InputError("squarefree power wants k >= 1")
-    base = [_mask_of(g) for g in I.gens if is_squarefree(g)]
+    base = [face_mask(support(g)) for g in I.gens if is_squarefree(g)]
     base = _minimal_masks(base)
     level = base
     for _ in range(k - 1):
@@ -259,7 +257,7 @@ def squarefree_power(I, k):
         if not level:
             break
     return MonomialIdeal(
-        I.n, tuple(sorted((_mask_to_monomial(m, I.n) for m in level), key=canon_key))
+        I.n, tuple(sorted((from_support(mask_face(m), I.n) for m in level), key=canon_key))
     )
 
 
@@ -277,10 +275,10 @@ def alexander_dual(I):
         raise InputError("the zero ideal has no Alexander dual here")
     if not all(is_squarefree(g) for g in I.gens):
         raise InputError("Alexander dual wants a squarefree ideal")
-    masks = [_mask_of(g) for g in I.gens]
+    masks = [face_mask(support(g)) for g in I.gens]
     trans = minimal_transversals(I.n, masks)
     return MonomialIdeal(
-        I.n, tuple(sorted((_mask_to_monomial(t, I.n) for t in trans), key=canon_key))
+        I.n, tuple(sorted((from_support(mask_face(t), I.n) for t in trans), key=canon_key))
     )
 
 
@@ -328,11 +326,7 @@ def minimal_transversals(n, masks):
             rest &= ~bit
         if ok:
             minimal.append(t)
-    return sorted(set(minimal), key=lambda x: (bin(x).count("1"), _mask_sort_key(x)))
-
-
-def _mask_sort_key(mask):
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return sorted(set(minimal), key=lambda x: (bin(x).count("1"), mask_face(x)))
 
 
 def render_monomial(m, style="factored"):

@@ -239,41 +239,7 @@ class PosetSweepReport:
         }
 
 
-_SWEEP_CHUNK = 1 << 18
 _SCALAR_STRIDE = 2503
-_LOW_BLOCK = 1 << 12
-
-
-def _int_dtype(limit):
-    """Narrowest signed integer dtype holding 0..limit."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if limit <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
-
-
-def _box_planes(start, stop, base, low, cells):
-    """Box vectors start..stop-1 (lex order, first cell most significant).
-
-    Returned as a (cells, N) array, one contiguous plane per cell.  The
-    low cells are copied from the precomputed block ``low`` (every
-    value of its cells, in order); the high cells are constant along
-    each run of one block and are filled per run.
-    """
-    width, span = low.shape
-    high = cells - width
-    V = np.empty((cells, stop - start), dtype=low.dtype)
-    pos = 0
-    for block in range(start // span, (stop - 1) // span + 1):
-        lo = max(start - block * span, 0)
-        hi = min(stop - block * span, span)
-        run = slice(pos, pos + hi - lo)
-        rest = block
-        for t in range(high - 1, -1, -1):
-            rest, V[t, run] = divmod(rest, base)
-        V[high:, run] = low[:, lo:hi]
-        pos += hi - lo
-    return V
 
 
 def _min_chain_sums(poset, r, V, dtype):
@@ -303,7 +269,6 @@ def _pattern_tables(poset, r):
     cells = r * m
     a_table = np.zeros((cells, 1 << cells), dtype=np.int8)
     valid = np.zeros(1 << cells, dtype=bool)
-    sc = delta_r(poset, r)
     fmask_cells = [
         [flatten_cell(i, j, m) - 1 for i, j in enumerate(ch, start=1)]
         for ch in multichains(poset, r)
@@ -346,22 +311,13 @@ def verify_standard_graded_delta_r(poset, r, max_degree, cross_check="auto"):
     checked = []
     samples = 0
     for k in range(2, max_degree + 1):
-        base = k + 1
-        total = base**cells
-        if total > 80_000_000:
-            raise InputError(f"sweep space {base}^{cells} too large")
-        value_dtype = _int_dtype(k)
-        sum_dtype = _int_dtype(r * k)
-        width = 1
-        while width < cells and base**width < _LOW_BLOCK:
-            width += 1
-        low = np.indices((base,) * width, dtype=value_dtype).reshape(width, -1)
+        if (k + 1) ** cells > 80_000_000:
+            raise InputError(f"sweep space {k + 1}^{cells} too large")
+        sum_dtype = covers._int_dtype(r * k)
         count = 0
-        for start in range(0, total, _SWEEP_CHUNK):
-            V = _box_planes(start, min(start + _SWEEP_CHUNK, total), base, low, cells)
-            kept = V[:, _min_chain_sums(poset, r, V, sum_dtype) >= k]
-            if not kept.shape[1]:
-                continue
+        for kept in covers._box_chunks(
+            (k,) * cells, lambda V: _min_chain_sums(poset, r, V, sum_dtype) >= k
+        ):
             count += kept.shape[1]
             C = kept
             for kk in range(k, 1, -1):

@@ -513,3 +513,35 @@ def test_split_box_over_limit_is_input_error(capsys, tmp_path):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: box of more than") and err.count("\n") == 1
+
+
+def test_decompose_k_zero_reaches_the_api(capsys):
+    # degree 0 is the API's own case: a unit split, not "the cover's order"
+    rc, payload, _ = run_json(capsys, "decompose", str(DATA / "five_cycle.json"),
+                              "--cover", "1,0,2,0,1,0,1", "--k", "0")
+    assert rc == 0
+    assert payload["k"] == 0
+    assert payload["parts"] == [
+        {"vector": "1,0,0,0,0,0,0", "degree": 0},
+        {"vector": "0,0,2,0,1,0,1", "degree": 0},
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("borel", "decompose", "--gen", "2,4", "--cover", "1,2,1,0", "--k", "0"),
+         "error: k=0 but the cover has order 1\n"),
+        (("poset", "decompose", str(DATA / "chain.json"), "--r", "2",
+          "--matrix", "1,1;1,1", "--k", "0"),
+         "error: decomposition wants k >= 2\n"),
+        (("borel", "expand", "--gen", "2,4", "-n", "0"),
+         "error: vertex 2 out of range 1..0\n"),
+        (("borel", "cover-gens", "--gen", "2,4"), "error: cover-gens needs --k\n"),
+    ],
+)
+def test_zero_is_a_given_value(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == message

@@ -155,22 +155,60 @@ class TestBox:
                 assert got.dtype == np.int64 and got.shape[1] == n
                 assert list(map(tuple, got.tolist())) == oracles.cover_box(sc.facets, n, k)
 
-    def test_scan_holds_one_chunk(self, monkeypatch, five_cycle):
-        monkeypatch.setattr(covers, "_CHUNK", 64)
-        bounds = (1, 0, 2, 0, 1, 3, 2)
-        seen = []
+    def test_scan_holds_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(covers, "_CHUNK", 1024)
+        for bounds in [
+            # mixed radices; the 1024-vector chunks end inside the
+            # 24-, 70- and 25-vector low blocks
+            (1, 0, 2, 0, 1, 3, 2, 7),
+            (2, 4, 6, 9),
+            (4, 4, 4, 4, 4),
+            # the last radix alone exceeds a chunk: filled from arange
+            (2, 1, 1500),
+            (3000,),
+        ]:
+            seen = []
 
-        def keep(V, S):
-            seen.append(len(V))
-            return V.sum(axis=1) % 3 == 0
+            def keep(V):
+                seen.append(V.shape[1])
+                return V.sum(axis=0) % 3 == 0
 
-        rows = list(covers._enumerate_vectors(five_cycle, bounds, keep))
-        box = list(it.product(*(range(b + 1) for b in bounds)))
-        assert max(seen) == 64 and sum(seen) == len(box)
-        assert all(len(r) <= 64 for r in rows)
-        assert list(map(tuple, np.concatenate(rows).tolist())) == [
-            v for v in box if sum(v) % 3 == 0
-        ]
+            chunks = list(covers._box_chunks(bounds, keep))
+            box = list(it.product(*(range(b + 1) for b in bounds)))
+            assert max(seen) == 1024 and sum(seen) == len(box)
+            dtype = np.int16 if max(bounds) > 127 else np.int8
+            assert all(V.dtype == dtype and V.shape[0] == len(bounds) for V in chunks)
+            assert all(V.shape[1] <= 1024 for V in chunks)
+            assert list(map(tuple, np.concatenate(chunks, axis=1).T.tolist())) == [
+                v for v in box if sum(v) % 3 == 0
+            ]
+
+    def test_long_trailing_radix_holds_one_chunk(self, monkeypatch):
+        # the whole box is 2 x 2^20 int32 values (8 MB); a chunk is
+        # 2 x 4096 of them (32 KB)
+        monkeypatch.setattr(covers, "_CHUNK", 1 << 12)
+        bounds = (1, (1 << 20) - 1)
+        tracemalloc.start()
+        try:
+            kept = sum(
+                V.shape[1] for V in covers._box_chunks(bounds, lambda V: V[1] % 2 == 0)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept == 1 << 20
+        assert peak < 4 * (2 * 4 << 12)
+
+    @pytest.mark.parametrize("chunk", [None, 100])
+    def test_split_box_past_int8(self, monkeypatch, chunk):
+        # the triangle's only tight 260-cover: no minimal vertex cover
+        # splits it, so the box scan runs through entries up to 130; with
+        # 100-column chunks they sit in cells filled per run
+        tri = SimplicialComplex(3, [(1, 2), (1, 3), (2, 3)])
+        c = (130, 130, 130)
+        if chunk:
+            monkeypatch.setattr(covers, "_CHUNK", chunk)
+        assert covers.decompose_cover(tri, c, 260) == oracles.first_split(tri.facets, 3, c, 260)
 
     def test_cover_box_over_limit_allocates_nothing(self):
         wide = SimplicialComplex(25, [(1, 2)])
