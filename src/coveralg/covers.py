@@ -29,6 +29,9 @@ from .ideals import face_mask, mask_face
 
 _ENUM_LIMIT = 20_000_000
 _CHUNK = 1 << 18
+# Largest (k+1)^n box that jk enumerates (above it, jk intersects facet
+# prime powers) and that equals_ab sieves (above it, it walks the ladder).
+JK_ENUM_MAX_BOX = 2_000_000
 # Largest n for which lk_sq runs its 2^n direct-scan cross-check.
 SQ_CROSS_CHECK_MAX_N = 20
 
@@ -221,7 +224,9 @@ def _lowerable(V, S, inc, k):
 
 
 def _indecomposables(sc, max_degree):
-    """Yield the indecomposable covers as (c, k); see indecomposable_covers."""
+    """Yield (k, H) for k = 1..max_degree: H holds the indecomposable
+    covers of maximal order k as int64 rows, ascending lex; see
+    indecomposable_covers."""
     inc = _incidence(sc)
     basis = []
     for k in range(1, max_degree + 1):
@@ -230,9 +235,9 @@ def _indecomposables(sc, max_degree):
         keep = ~_lowerable(C.T, S.T, inc, k).any(axis=0)
         for h, sh, i in basis:
             keep &= ~((C >= h).all(axis=1) & ((S - sh).min(axis=1) >= k - i))
-        for h in C[keep]:
-            yield tuple(h.tolist()), k
-            basis.append((h, inc @ h, k))
+        H = C[keep]
+        basis.extend((h, sh, k) for h, sh in zip(H, S[keep]))
+        yield k, H
 
 
 def indecomposable_covers(sc, max_degree, threads=1):
@@ -251,7 +256,11 @@ def indecomposable_covers(sc, max_degree, threads=1):
     every facet sum bound and divides the original), so the bounded
     candidate box misses nothing.  ``threads`` is accepted and ignored.
     """
-    return list(_indecomposables(sc, _degree_bound(sc, max_degree)))
+    return [
+        (tuple(h), k)
+        for k, H in _indecomposables(sc, _degree_bound(sc, max_degree))
+        for h in H.tolist()
+    ]
 
 
 def prime_power_ideal(n, face, k):
@@ -268,14 +277,15 @@ def prime_power_ideal(n, face, k):
 def jk(sc, k):
     """Ideal generated by all k-covers; intersection of facet prime powers.
 
-    Small instances enumerate the minimal generators directly (vectors
-    of order exactly k none of whose decrements is still a k-cover);
-    larger ones intersect the P_F^k one at a time.  The two routes agree
+    When the box (k+1)^n holds at most JK_ENUM_MAX_BOX (2,000,000)
+    vectors, the minimal generators are enumerated directly (vectors of
+    order exactly k none of whose decrements is still a k-cover); above
+    it the P_F^k are intersected one at a time.  The two routes agree
     and the enumeration one is far cheaper at desk scale.
     """
     if k < 1:
         raise InputError("jk wants k >= 1")
-    if (k + 1) ** sc.n <= 2_000_000:
+    if (k + 1) ** sc.n <= JK_ENUM_MAX_BOX:
         inc = _incidence(sc)
 
         def keep(V):
@@ -320,8 +330,8 @@ def lk_sq(sc, k):
         ]
     )
     if sc.n <= SQ_CROSS_CHECK_MAX_N:
-        direct = _squarefree_covers_direct(sc, k)
-        if not ideals.equals_ideal(direct, via_intersection):
+        direct = [ideals.from_support(mask_face(m), sc.n) for m in _squarefree_covers_direct(sc, k)]
+        if tuple(sorted(direct, key=ideals.canon_key)) != via_intersection.gens:
             raise InternalCheckError(
                 f"squarefree {k}-cover routes disagree on {sc!r}"
             )
@@ -329,7 +339,8 @@ def lk_sq(sc, k):
 
 
 def _squarefree_covers_direct(sc, k):
-    """Minimal squarefree k-covers by a scan of all 2^n supports.
+    """Support masks of the minimal squarefree k-covers, ascending, by a
+    scan of all 2^n supports.
 
     Support masks are flagged as k-covers facet by facet; a cover is
     minimal when no one-bit removal is still a cover, which suffices
@@ -346,11 +357,7 @@ def _squarefree_covers_direct(sc, k):
     for i in range(sc.n):
         split = (-1, 2, 1 << i)
         minimal.reshape(split)[:, 1, :] &= ~cover.reshape(split)[:, 0, :]
-    gens = sorted(
-        (ideals.from_support(mask_face(int(m)), sc.n) for m in np.flatnonzero(minimal)),
-        key=ideals.canon_key,
-    )
-    return ideals.MonomialIdeal(sc.n, tuple(gens))
+    return np.flatnonzero(minimal).tolist()
 
 
 def _lk_levels(sc, bound):
@@ -442,9 +449,10 @@ def is_standard_graded_a(sc, max_degree=None, threads=1):
     ignored.
     """
     bound = _degree_bound(sc, max_degree)
-    for c, k in _indecomposables(sc, bound) if bound > 1 else ():
-        if k >= 2:
-            return GradedVerdict("A-standard-graded", False, True, None, Witness(c, k))
+    for k, H in _indecomposables(sc, bound) if bound > 1 else ():
+        if k >= 2 and len(H):
+            witness = Witness(tuple(H[0].tolist()), k)
+            return GradedVerdict("A-standard-graded", False, True, None, witness)
     return GradedVerdict("A-standard-graded", True, False, bound, None)
 
 
@@ -457,15 +465,47 @@ def _divisible(Q, G):
 
 
 def equals_ab(sc, max_degree=None):
-    """Whether jk == lk for every k up to the bound.
+    """Whether jk == lk for every k up to the bound, i.e. A = B there.
 
-    False means some cover is not a combination of squarefree ones; the
-    witness is the first minimal generator of jk outside lk at the
-    lowest failing degree.  The lk levels come from one _lk_levels
-    ladder, which stops there.  Both the lk <= jk check and the witness
-    search are numpy divisibility tests over the generator arrays.
+    The indecomposable covers are the Hilbert basis of the cover monoid,
+    so A = B up to degree K exactly when every indecomposable cover of
+    degree <= K is squarefree.  When the box (bound+1)^n holds at most
+    JK_ENUM_MAX_BOX (2,000,000) vectors, the verdict reads the sieve of
+    indecomposable_covers degree by degree and builds no ideal; above
+    it, where jk stops enumerating too, it walks the _lk_levels ladder
+    beside jk.  False means some cover is not a combination of
+    squarefree ones; the witness is the first minimal generator of jk
+    outside lk at the lowest failing degree k.  Such a generator is
+    exactly a non-squarefree indecomposable k-cover, so the sieve route
+    returns the canon_key-least one (degree first, then descending lex).
+    Each route checks itself against independent code and raises
+    InternalCheckError on a mismatch: the ladder checks lk <= jk; the
+    sieve requires every squarefree survivor of degree k to be a minimal
+    squarefree k-cover of the direct 2^n scan that lk_sq shares (n <= 20
+    on this route), and decompose_cover to find no split of a witness.
     """
     bound = _degree_bound(sc, max_degree)
+    if (bound + 1) ** sc.n > JK_ENUM_MAX_BOX:
+        return _equals_ab_ladder(sc, bound)
+    bits = 1 << np.arange(sc.n, dtype=np.int64)
+    for k, H in _indecomposables(sc, bound):
+        flat = (H < 2).all(axis=1)
+        masks = set((H[flat] @ bits).tolist())
+        if masks and not masks <= set(_squarefree_covers_direct(sc, k)):
+            raise InternalCheckError(
+                f"the sieve kept a squarefree {k}-cover the 2^n scan calls not minimal on {sc!r}"
+            )
+        if not flat.all():
+            g = min(map(tuple, H[~flat].tolist()), key=ideals.canon_key)
+            if decompose_cover(sc, g, k) is not None:
+                raise InternalCheckError(f"the sieve kept the decomposable {k}-cover {g}")
+            return GradedVerdict("A-equals-B", False, True, None, Witness(g, k))
+    return GradedVerdict("A-equals-B", True, False, bound, None)
+
+
+def _equals_ab_ladder(sc, bound):
+    """equals_ab by the lk ladder: the first generator of jk outside lk,
+    with numpy divisibility tests over the generator arrays."""
     for k, L in enumerate(_lk_levels(sc, bound), start=1):
         J = jk(sc, k)
         Jg = np.array(J.gens, dtype=np.int64).reshape(-1, sc.n)

@@ -297,7 +297,10 @@ def verify_standard_graded_delta_r(poset, r, max_degree, cross_check="auto"):
     cover of the right order.  A deterministic subsample goes through
     the scalar decompose_poset_cover with its full assertions, and on
     small grids the generic cover engine is run as a cross-check.
-    Raises InternalCheckError if any cover fails to reduce.
+    Raises InternalCheckError if any cover fails to reduce.  The
+    subsample is every _SCALAR_STRIDE-th kept column of each chunk of
+    the box, so scalar_samples depends on covers._CHUNK too: a change of
+    the chunk size must re-record tests/data/poset_sweeps.json.
     """
     if max_degree < 2:
         raise InputError("max_degree must be >= 2")

@@ -349,12 +349,13 @@ class TestLkSq:
             sc = SimplicialComplex(n, oracles.random_antichain(rng, n, 6))
             for k in range(1, min(len(f) for f in sc.facets) + 1):
                 got = covers._squarefree_covers_direct(sc, k)
-                assert sorted(ideals.support(g) for g in got.gens) == sorted(
+                assert got == sorted(got)
+                assert sorted(ideals.mask_face(m) for m in got) == sorted(
                     oracles.squarefree_covers(sc.facets, n, k)
                 )
 
     def test_routes_cross_checked_up_to_the_limit(self, monkeypatch):
-        wrong = lambda sc, k: ideals.zero_ideal(sc.n)
+        wrong = lambda sc, k: []
         monkeypatch.setattr(covers, "_squarefree_covers_direct", wrong)
         limit = covers.SQ_CROSS_CHECK_MAX_N
         at_limit = SimplicialComplex(limit, [(1, 2), (2, 3)])
@@ -393,6 +394,8 @@ class TestLk:
                 assert covers.lk(sc, k) == want and ladder[k - 1] == want, (sc, k)
 
     def test_equals_ab_builds_each_lk_sq_once(self, monkeypatch, five_cycle, three_cycle):
+        # the ladder route, forced by a zero box threshold
+        monkeypatch.setattr(covers, "JK_ENUM_MAX_BOX", 0)
         calls = []
         lk_sq, jk = covers.lk_sq, covers.jk
         monkeypatch.setattr(covers, "lk_sq", lambda sc, k: calls.append(("sq", k)) or lk_sq(sc, k))
@@ -408,6 +411,18 @@ class TestLk:
         calls.clear()
         assert covers.equals_ab(five_cycle, 4).witness.degree == 2
         assert calls == [("sq", 1), ("jk", 1), ("sq", 2), ("jk", 2)]
+
+    def test_equals_ab_sieve_builds_no_ideal(self, monkeypatch, five_cycle, three_cycle):
+        calls = []
+        for mod, name in ((covers, "jk"), (covers, "lk_sq"), (covers, "decompose_cover"),
+                          (ideals, "multiply"), (ideals, "sum_ideals")):
+            f = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        assert covers.equals_ab(three_cycle, 4).holds
+        assert calls == []
+        # a failing verdict asks decompose_cover once, about its witness
+        assert covers.equals_ab(five_cycle, 4).witness.degree == 2
+        assert calls == ["decompose_cover"]
 
 
 @settings(deadline=None, max_examples=60)
@@ -483,7 +498,45 @@ class TestGradedVerdicts:
         }
 
 
-def test_equals_ab_matches_contains_oracle():
+@pytest.fixture(params=["sieve", "ladder"])
+def ab_route(request, monkeypatch):
+    """equals_ab's route: the sieve by default, the ladder when the box
+    threshold is forced to 0."""
+    if request.param == "ladder":
+        monkeypatch.setattr(covers, "JK_ENUM_MAX_BOX", 0)
+
+
+@pytest.mark.parametrize(
+    "n, facets, bound, witness",
+    [
+        # descending lex without the degree key picks (0,2,0,1,1,1,1)
+        (7, [(2, 3), (5, 6), (5, 7), (1, 6, 7), (1, 3, 4, 7)], 3, (0, 0, 2, 0, 1, 1, 1)),
+        # ascending lex picks (0,2,1,1,1,1,2); descending lex without
+        # the degree key picks (2,2,1,1,1,2,0), of degree 9
+        (7, [(1, 2), (1, 7), (2, 7), (3, 4), (3, 5), (4, 5), (4, 6), (6, 7)], 2,
+         (2, 0, 1, 1, 1, 1, 2)),
+    ],
+)
+def test_equals_ab_witness_is_canon_least(ab_route, n, facets, bound, witness):
+    # the first minimal generator of J_2 outside L_2: the canon_key-least
+    # non-squarefree indecomposable 2-cover, not the first in lex order
+    sc = SimplicialComplex(n, facets)
+    assert covers.equals_ab(sc, bound) == covers.GradedVerdict(
+        "A-equals-B", False, True, None, covers.Witness(witness, 2)
+    )
+
+
+def test_equals_ab_sieve_cross_checks(monkeypatch, three_cycle, five_cycle):
+    monkeypatch.setattr(covers, "_squarefree_covers_direct", lambda sc, k: [])
+    with pytest.raises(InternalCheckError):
+        covers.equals_ab(three_cycle, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(covers, "decompose_cover", lambda sc, c, k: (c, k, c, 0))
+    with pytest.raises(InternalCheckError):
+        covers.equals_ab(five_cycle, 2)
+
+
+def test_equals_ab_matches_contains_oracle(ab_route):
     # random complexes alternate with random graphs, whose odd cycles
     # give most of the failing verdicts
     rng = random.Random(20261022)
